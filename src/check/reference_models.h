@@ -216,8 +216,8 @@ class LegacyFlowStateTable {
 // The directed-link clock-in logic exactly as it stood before the batch
 // redesign, decoupled from the Simulator: the caller supplies `now`. One
 // call = one packet, same virtual-queue admission, serialization,
-// propagation, jitter draw, and FIFO monotonicity as the old
-// Link::transmit(Packet, PacketSink&).
+// propagation, jitter draw, and FIFO monotonicity as the old by-value
+// Link::transmit.
 INBAND_SHARD_LOCAL(shard)
 class LegacyScalarLink {
  public:

@@ -105,20 +105,7 @@ void FaultLayer::flap_transition(std::size_t flap_index, bool down) {
 SendVerdict FaultLayer::on_send(const Packet& pkt, Ipv4 from, Ipv4 to) {
   const auto it = links_.find(link_key(from, to));
   if (it == links_.end()) return {};
-  return decide(it->second, pkt);
-}
-
-void FaultLayer::on_send_batch(const PacketBatch& batch, Ipv4 from, Ipv4 to,
-                               BatchVerdict& out) {
-  const auto it = links_.find(link_key(from, to));  // one lookup per batch
-  if (it == links_.end()) return;  // verdicts default to pass-through
   LinkState& link = it->second;
-  for (std::uint32_t i = 0; i < batch.size(); ++i) {
-    out.v[i] = decide(link, *batch[i]);
-  }
-}
-
-SendVerdict FaultLayer::decide(LinkState& link, const Packet& pkt) {
   ++counters_.get("fault.decisions");
 
   if (link.down_count > 0) {

@@ -58,12 +58,6 @@ class FaultLayer final : public SendInterceptor {
 
   INBAND_HOT SendVerdict on_send(const Packet& pkt, Ipv4 from, Ipv4 to) override;
 
-  // Batch form: one link lookup per batch, then element-wise decisions in
-  // index order — the per-element RNG draw sequence is identical to calling
-  // on_send() per packet, so digests are unchanged.
-  INBAND_HOT void on_send_batch(const PacketBatch& batch, Ipv4 from, Ipv4 to,
-                                BatchVerdict& out) override;
-
   const FaultPlan& plan() const { return plan_; }
 
   // Executed fault timeline, in simulation order.
@@ -118,9 +112,6 @@ class FaultLayer final : public SendInterceptor {
 
   void flap_transition(std::size_t flap_index, bool down);
   void record_link_event(FaultEvent::Kind kind, const LinkRef& ref);
-
-  // Per-packet fate on an already-resolved link (shared by both entry forms).
-  INBAND_HOT SendVerdict decide(LinkState& link, const Packet& pkt);
 
   Simulator& sim_;
   Network& net_;

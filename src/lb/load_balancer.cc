@@ -30,12 +30,6 @@ void LoadBalancer::handle_batch(PacketBatch&& batch) {
   }
 }
 
-void LoadBalancer::handle_packet(Packet pkt) {
-  PacketRef ref = network().pool().acquire();
-  *ref = std::move(pkt);
-  forward(std::move(ref));
-}
-
 void LoadBalancer::forward(PacketRef pkt) {
   const SimTime now = sim().now();
   ++counters_.get("lb.packets_in");

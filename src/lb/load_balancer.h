@@ -35,7 +35,6 @@ class LoadBalancer : public Host {
   // Native batch path: every element is conntracked/policied/forwarded out
   // of its pooled buffer — the LB hop moves handles, never packet bytes.
   INBAND_HOT void handle_batch(PacketBatch&& batch) override;
-  void handle_packet(Packet pkt) override;
 
   // Control-plane pool updates (health checker, operator). The policy is
   // re-notified so *new* flows avoid an unhealthy backend; tracked

@@ -7,22 +7,6 @@
 
 namespace inband {
 
-void PacketSink::handle_batch(PacketBatch&& batch) {
-  // Compatibility shim: unbatch into the scalar entry point. Each packet is
-  // moved out of its pooled slot (one copy — the price of not migrating).
-  for (std::uint32_t i = 0; i < batch.size(); ++i) {
-    PacketRef ref = batch.take(i);
-    Packet pkt = std::move(*ref);
-    ref.reset();
-    handle_packet(std::move(pkt));
-  }
-}
-
-void PacketSink::handle_packet(Packet /*pkt*/) {
-  INBAND_ASSERT(false,
-                "PacketSink overrides neither handle_batch nor handle_packet");
-}
-
 Link::Link(Simulator& sim, LinkParams params)
     : sim_{sim}, params_{params}, jitter_rng_{params.jitter_seed} {
   INBAND_ASSERT(params_.bandwidth_bps > 0);
@@ -48,15 +32,16 @@ void Link::set_extra_delay(SimTime d) {
   extra_delay_ = d;
 }
 
-SimTime Link::admit(std::uint64_t wire_bytes) {
+bool Link::transmit(PacketRef pkt, PacketSink& dst) {
   const SimTime now = sim_.now();
   if (params_.queue_bytes != 0) {
     const SimTime queue_limit = serialization_delay(params_.queue_bytes);
     if (backlog(now) > queue_limit) {
       ++drops_;
-      return kNoTime;
+      return false;  // ref dies here: slot recycles
     }
   }
+  const std::uint64_t wire_bytes = pkt->wire_size();
   const SimTime start = std::max(now, busy_until_);
   const SimTime done = start + serialization_delay(wire_bytes);
   busy_until_ = done;
@@ -70,12 +55,7 @@ SimTime Link::admit(std::uint64_t wire_bytes) {
   // FIFO: jitter may not reorder packets on the wire.
   deliver_at = std::max(deliver_at, last_delivery_ + 1);
   last_delivery_ = deliver_at;
-  return deliver_at;
-}
 
-bool Link::transmit(PacketRef pkt, PacketSink& dst) {
-  const SimTime deliver_at = admit(pkt->wire_size());
-  if (deliver_at == kNoTime) return false;  // ref dies here: slot recycles
   struct Deliver {
     PacketSink* dst;
     PacketRef p;
@@ -88,20 +68,8 @@ bool Link::transmit(PacketRef pkt, PacketSink& dst) {
   Deliver deliver{&dst, std::move(pkt)};
   // The per-packet event must live inline in the event pool; delivery state
   // that outgrows the callback's small buffer would put an allocation back
-  // on every simulated hop. The pooled handle is two words — far under the
-  // limit the by-value Packet used to push against.
+  // on every simulated hop. The pooled handle is two words.
   static_assert(EventCallback::fits_inline<Deliver>());
-  sim_.schedule_at(deliver_at, std::move(deliver));
-  return true;
-}
-
-bool Link::transmit(Packet pkt, PacketSink& dst) {
-  const SimTime deliver_at = admit(pkt.wire_size());
-  if (deliver_at == kNoTime) return false;
-  auto deliver = [&dst, p = std::move(pkt)]() mutable {
-    dst.handle_packet(std::move(p));
-  };
-  static_assert(EventCallback::fits_inline<decltype(deliver)>());
   sim_.schedule_at(deliver_at, std::move(deliver));
   return true;
 }

@@ -24,16 +24,11 @@
 namespace inband {
 
 // Destination abstraction: anything that can accept delivered packets.
-//
-// handle_batch() is the data plane's native entry point; handle_packet() is
-// the legacy scalar form. A sink must override at least one: the default
-// handle_batch() unbatches into handle_packet() (so existing sinks keep
-// working unchanged), and the default handle_packet() asserts.
+// handle_batch() is the only delivery entry point.
 class PacketSink {
  public:
   virtual ~PacketSink() = default;
-  virtual void handle_batch(PacketBatch&& batch);
-  virtual void handle_packet(Packet pkt);
+  virtual void handle_batch(PacketBatch&& batch) = 0;
 };
 
 struct LinkParams {
@@ -56,12 +51,9 @@ class Link {
   Link(Simulator& sim, LinkParams params);
 
   // Transmits `pkt` toward `dst`. Returns false if the packet was dropped by
-  // the queue. Delivery is scheduled on the simulator: the pooled form
-  // delivers through dst.handle_batch() (a singleton batch), the by-value
-  // form through dst.handle_packet(). Both share the same clock-in logic, so
-  // a mixed workload sees one FIFO.
+  // the queue. Delivery is scheduled on the simulator and arrives through
+  // dst.handle_batch() as a singleton batch.
   INBAND_HOT bool transmit(PacketRef pkt, PacketSink& dst);
-  INBAND_HOT bool transmit(Packet pkt, PacketSink& dst);
 
   // Runtime-adjustable additional one-way delay (>= 0); applied to packets
   // transmitted after the change.
@@ -81,10 +73,6 @@ class Link {
   std::uint64_t drops() const { return drops_; }
 
  private:
-  // Runs queue admission + transmit/propagation timing for one packet of
-  // `wire_bytes`. Returns the delivery time, or kNoTime on a queue drop.
-  INBAND_HOT SimTime admit(std::uint64_t wire_bytes);
-
   Simulator& sim_;
   LinkParams params_;
   Rng jitter_rng_;

@@ -5,14 +5,6 @@
 
 namespace inband {
 
-void SendInterceptor::on_send_batch(const PacketBatch& batch, Ipv4 from,
-                                    Ipv4 to, BatchVerdict& out) {
-  // Default shim: element-wise scalar verdicts, strictly in index order.
-  for (std::uint32_t i = 0; i < batch.size(); ++i) {
-    out.v[i] = on_send(*batch[i], from, to);
-  }
-}
-
 Host::Host(Simulator& sim, Network& net, Ipv4 addr, std::string name)
     : sim_{sim}, net_{net}, addr_{addr}, name_{std::move(name)} {
   net_.attach(*this);
@@ -44,17 +36,39 @@ Link& Network::link(Ipv4 from, Ipv4 to) {
   return *it->second;
 }
 
-bool Network::dispatch(Link& link, Host& dst, PacketRef pkt,
-                       const SendVerdict& verdict) {
-  if (verdict.drop) {
-    // Lost in the network: the sender saw a successful send and recovery
-    // is the transport's problem, so this is `true`, unlike a queue drop.
-    // The ref dies here and the slot recycles.
+bool Network::send(Ipv4 from, Ipv4 to, PacketRef pkt) {
+  Packet& p = *pkt;
+  p.pkt_id = next_pkt_id_++;
+  p.sent_at = sim_.now();
+  if (observer_ != nullptr) observer_->on_packet(p, from, to);
+  ++packets_sent_;
+
+  const auto lit = links_.find(key(from, to));
+  if (lit == links_.end()) {
+    // No (from, to) link: either the destination lives on another shard and
+    // the egress takes the packet, or it is a programming error. The
+    // fault interceptor is skipped by design (see RemoteEgress); the local
+    // ref recycles here — the egress copied.
+    INBAND_ASSERT(remote_ != nullptr, "sending over a missing link");
+    ++remote_packets_;
+    const bool taken = remote_->forward(p, from, to);
+    INBAND_ASSERT(taken, "sending over a missing link (egress refused)");
     return true;
   }
+  const auto hit = hosts_.find(to);
+  INBAND_ASSERT(hit != hosts_.end(), "no host attached at destination");
+  Link& link = *lit->second;
+  Host& dst = *hit->second;
+
+  SendVerdict verdict;
+  if (interceptor_ != nullptr) verdict = interceptor_->on_send(p, from, to);
+  // Lost in the network: the sender saw a successful send and recovery is
+  // the transport's problem, so this is `true`, unlike a queue drop. The ref
+  // dies here and the slot recycles.
+  if (verdict.drop) return true;
   if (verdict.duplicate_hold != kNoTime) {
     PacketRef dup = pool_.acquire();
-    *dup = *pkt;  // pooled clone — the duplicate no longer heap-copies
+    *dup = p;
     transmit_held(link, dst, std::move(dup), verdict.duplicate_hold);
   }
   if (verdict.hold > 0) {
@@ -69,100 +83,17 @@ bool Network::dispatch(Link& link, Host& dst, PacketRef pkt,
 }
 
 std::uint32_t Network::send_batch(Ipv4 from, Ipv4 to, PacketBatch& batch) {
-  if (batch.empty()) return 0;
-  const auto lit = links_.find(key(from, to));
-  if (lit == links_.end()) return remote_send_batch(from, to, batch);
-  const auto hit = hosts_.find(to);
-  INBAND_ASSERT(hit != hosts_.end(), "no host attached at destination");
-
-  const SimTime now = sim_.now();
   const std::uint32_t n = batch.size();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Packet& p = *batch[i];
-    p.pkt_id = next_pkt_id_++;
-    p.sent_at = now;
-    if (observer_ != nullptr) observer_->on_packet(p, from, to);
-  }
-  packets_sent_ += n;
+  if (n == 0) return 0;
   ++batches_;
   batch_packets_ += n;
   if (n > max_batch_) max_batch_ = n;
-
-  BatchVerdict verdicts;
-  if (interceptor_ != nullptr) {
-    interceptor_->on_send_batch(batch, from, to, verdicts);
-  }
   std::uint32_t accepted = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (dispatch(*lit->second, *hit->second, batch.take(i), verdicts.v[i])) {
-      ++accepted;
-    }
+    if (send(from, to, batch.take(i))) ++accepted;
   }
   batch.clear();
   return accepted;
-}
-
-bool Network::send(Ipv4 from, Ipv4 to, PacketRef pkt) {
-  const auto lit = links_.find(key(from, to));
-  if (lit == links_.end()) return remote_send(from, to, std::move(pkt));
-  const auto hit = hosts_.find(to);
-  INBAND_ASSERT(hit != hosts_.end(), "no host attached at destination");
-
-  Packet& p = *pkt;
-  p.pkt_id = next_pkt_id_++;
-  p.sent_at = sim_.now();
-  if (observer_ != nullptr) observer_->on_packet(p, from, to);
-
-  ++packets_sent_;
-  SendVerdict verdict;
-  if (interceptor_ != nullptr) verdict = interceptor_->on_send(p, from, to);
-  return dispatch(*lit->second, *hit->second, std::move(pkt), verdict);
-}
-
-bool Network::send(Ipv4 from, Ipv4 to, Packet pkt) {
-  PacketRef ref = pool_.acquire();
-  *ref = std::move(pkt);
-  return send(from, to, std::move(ref));
-}
-
-// No (from, to) link: either the destination lives on another shard and the
-// egress takes the packet, or it is the old programming error. Stamping and
-// observation match the local paths so a packet's lifecycle is identical on
-// both sides of the boundary; the fault interceptor is skipped by design
-// (see RemoteEgress). The local refs recycle here — the egress copied.
-std::uint32_t Network::remote_send_batch(Ipv4 from, Ipv4 to,
-                                         PacketBatch& batch) {
-  INBAND_ASSERT(remote_ != nullptr, "sending over a missing link");
-  const SimTime now = sim_.now();
-  const std::uint32_t n = batch.size();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Packet& p = *batch[i];
-    p.pkt_id = next_pkt_id_++;
-    p.sent_at = now;
-    if (observer_ != nullptr) observer_->on_packet(p, from, to);
-    const bool taken = remote_->forward(p, from, to);
-    INBAND_ASSERT(taken, "sending over a missing link (egress refused)");
-  }
-  packets_sent_ += n;
-  ++batches_;
-  batch_packets_ += n;
-  if (n > max_batch_) max_batch_ = n;
-  remote_packets_ += n;
-  batch.clear();
-  return n;
-}
-
-bool Network::remote_send(Ipv4 from, Ipv4 to, PacketRef pkt) {
-  INBAND_ASSERT(remote_ != nullptr, "sending over a missing link");
-  Packet& p = *pkt;
-  p.pkt_id = next_pkt_id_++;
-  p.sent_at = sim_.now();
-  if (observer_ != nullptr) observer_->on_packet(p, from, to);
-  ++packets_sent_;
-  ++remote_packets_;
-  const bool taken = remote_->forward(p, from, to);
-  INBAND_ASSERT(taken, "sending over a missing link (egress refused)");
-  return true;
 }
 
 void Network::transmit_held(Link& link, Host& dst, PacketRef pkt,

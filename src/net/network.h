@@ -8,12 +8,10 @@
 // return), and how the server's response travels straight back to the client
 // without ever crossing the LB.
 //
-// The data plane is batch-oriented: producers fill a PacketBatch of pooled
-// buffers (Network owns the PacketPool) and hand the whole batch to
-// send_batch(), which stamps, observes, intercepts, and clocks every element
-// with one virtual dispatch per layer instead of one per packet — BESS's
-// ProcessBatch module model applied to the sim/net boundary. The scalar
-// send() forms remain for control-plane and legacy callers.
+// Packets live in pooled buffers (Network owns the PacketPool). Each
+// boundary has one implementation: send() is the only stamp → observe →
+// intercept → dispatch body, send_batch() runs it over a batch in index
+// order, and every sink takes deliveries through handle_batch().
 //
 // Topology is fixed after setup; sending over a missing link is a programming
 // error and asserts.
@@ -47,25 +45,15 @@ struct SendVerdict {
   SimTime duplicate_hold = kNoTime;
 };
 
-// Element-wise verdicts for one batch; slot i decides batch[i]'s fate.
-struct BatchVerdict {
-  SendVerdict v[PacketBatch::kCapacity];
-};
-
-// In-band interposition point for fault injection: consulted once per send
-// after pkt_id/sent_at stamping and the observer, so every layer sees the
-// packet exactly once regardless of its fate.
-//
-// Batch sends consult on_send_batch() — one virtual call per batch. The
-// default unrolls to on_send() element-wise; overriders must decide elements
-// strictly in index order, because decision order is RNG-draw order and
+// In-band interposition point for fault injection: consulted once per
+// packet after pkt_id/sent_at stamping and the observer, so every layer sees
+// the packet exactly once regardless of its fate. Batch sends consult it
+// element by element in index order — decision order is RNG-draw order and
 // therefore part of the reproducibility contract.
 class SendInterceptor {
  public:
   virtual ~SendInterceptor() = default;
   virtual SendVerdict on_send(const Packet& pkt, Ipv4 from, Ipv4 to) = 0;
-  virtual void on_send_batch(const PacketBatch& batch, Ipv4 from, Ipv4 to,
-                             BatchVerdict& out);
 };
 
 // Passive observation point: sees every packet handed to the fabric (after
@@ -134,16 +122,15 @@ class Network {
   Link& link(Ipv4 from, Ipv4 to);
   bool has_link(Ipv4 from, Ipv4 to) const;
 
-  // Stamps pkt_id / sent_at on every element, runs the observer and the
-  // interceptor (one on_send_batch call), and clocks the survivors onto the
-  // (from, to) link in index order. Consumes the batch (empty on return).
-  // Returns the number of packets not dropped at the queue.
-  INBAND_HOT std::uint32_t send_batch(Ipv4 from, Ipv4 to, PacketBatch& batch);
-
-  // Scalar forms: stamp and transmit one packet. Return false on queue drop.
-  // The by-value overload copies into a pooled slot first.
+  // Stamps pkt_id / sent_at, runs the observer, then either hands the
+  // packet to the remote egress (no local link) or runs the interceptor and
+  // clocks it onto the (from, to) link. Returns false on a queue drop.
   INBAND_HOT bool send(Ipv4 from, Ipv4 to, PacketRef pkt);
-  bool send(Ipv4 from, Ipv4 to, Packet pkt);
+
+  // send() over every element in index order, plus the batch-shape counters.
+  // Consumes the batch (empty on return). Returns the number of packets not
+  // dropped at the queue.
+  INBAND_HOT std::uint32_t send_batch(Ipv4 from, Ipv4 to, PacketBatch& batch);
 
   // Installs (or clears, with nullptr) the passive observer. Borrowed: it
   // must outlive the network or be cleared first.
@@ -183,17 +170,8 @@ class Network {
     return (static_cast<std::uint64_t>(from) << 32) | to;
   }
 
-  // Applies one verdict to a stamped packet: drop, clone-and-hold, hold, or
-  // clock onto the link now. Returns false only on a queue drop.
-  INBAND_HOT bool dispatch(Link& link, Host& dst, PacketRef pkt,
-                           const SendVerdict& verdict);
-
   // Transmits `pkt` on `link` toward `dst` after `hold` of simulated time.
   void transmit_held(Link& link, Host& dst, PacketRef pkt, SimTime hold);
-
-  // Stamp-and-egress paths for destinations with no local link.
-  std::uint32_t remote_send_batch(Ipv4 from, Ipv4 to, PacketBatch& batch);
-  bool remote_send(Ipv4 from, Ipv4 to, PacketRef pkt);
 
   Simulator& sim_;
   PacketPool pool_;
@@ -211,11 +189,11 @@ class Network {
   std::uint64_t remote_packets_ = 0;
 };
 
-// A node attached to the network. Subclasses implement handle_batch() (or
-// legacy handle_packet()); outbound traffic goes through send() / send_to() /
-// send_batch(). A mixin, not an entity: a Host instance lives in whatever
-// domain its derived class does (TcpHost and KvServer in `shard`,
-// LoadBalancer in `lb`), hence `owner`.
+// A node attached to the network. Subclasses implement handle_batch();
+// outbound traffic goes through send() / send_to() / send_batch(). A mixin,
+// not an entity: a Host instance lives in whatever domain its derived class
+// does (TcpHost and KvServer in `shard`, LoadBalancer in `lb`), hence
+// `owner`.
 INBAND_SHARD_LOCAL(owner)
 class Host : public PacketSink {
  public:
@@ -232,16 +210,10 @@ class Host : public PacketSink {
     const Ipv4 to = pkt->flow.dst.addr;
     return net_.send(addr_, to, std::move(pkt));
   }
-  bool send(Packet pkt) {
-    return net_.send(addr_, pkt.flow.dst.addr, std::move(pkt));
-  }
 
   // Sends toward an explicit next hop regardless of the flow key (the LB
   // forwarding case).
   INBAND_HOT bool send_to(Ipv4 to, PacketRef pkt) {
-    return net_.send(addr_, to, std::move(pkt));
-  }
-  bool send_to(Ipv4 to, Packet pkt) {
     return net_.send(addr_, to, std::move(pkt));
   }
 

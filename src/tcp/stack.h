@@ -107,8 +107,6 @@ class TcpHost : public Host {
     }
   }
 
-  void handle_packet(Packet pkt) override { stack_.on_packet(pkt); }
-
  private:
   TcpStack stack_;
 };

@@ -7,7 +7,7 @@
 // nothing — it exists purely as a token for the analyzer, placed before the
 // return type:
 //
-//   INBAND_HOT void transmit(Packet pkt, PacketSink& dst);
+//   INBAND_HOT bool transmit(PacketRef pkt, PacketSink& dst);
 //
 // `INBAND_COLD_OK(reason)` marks the rest of the enclosing brace block as a
 // justified cold region: hot-path findings inside it are waived with

@@ -8,6 +8,7 @@
 
 #include "lb/load_balancer.h"
 #include "lb/policies.h"
+#include "pooled_packet.h"
 #include "tcp/stack.h"
 
 namespace inband {
@@ -277,7 +278,11 @@ TEST(Policies, StaticMaglevConsistent) {
 
 struct RecordingHost final : Host {
   using Host::Host;
-  void handle_packet(Packet pkt) override { received.push_back(std::move(pkt)); }
+  void handle_batch(PacketBatch&& batch) override {
+    for (std::uint32_t i = 0; i < batch.size(); ++i) {
+      received.push_back(*batch[i]);
+    }
+  }
   std::vector<Packet> received;
 };
 
@@ -303,7 +308,7 @@ struct LbRig {
     Packet p;
     p.flow = f;
     p.flags = flags;
-    client->send(p);
+    client->send(pooled(net.pool(), p));
     sim.run();
   }
 
@@ -361,7 +366,7 @@ TEST(LoadBalancer, DsrMeansLbNeverSeesResponses) {
   rig.send(vip_flow(1000), tcpflag::kSyn);
   Packet resp;
   resp.flow = vip_flow(1000).reversed();
-  rig.backends[0]->send(resp);
+  rig.backends[0]->send(pooled(rig.net.pool(), resp));
   rig.sim.run();
   ASSERT_EQ(rig.client->received.size(), 1u);
   // The LB forwarded exactly one packet (the request) and saw nothing else.
@@ -613,7 +618,7 @@ TEST(LoadBalancer, SynFloodBoundsAllState) {
                static_cast<std::uint16_t>(80 + i / 60'000)},
               IpProto::kTcp};
     p.flags = tcpflag::kSyn;
-    rig.client->send(p);
+    rig.client->send(pooled(rig.net.pool(), p));
   }
   rig.sim.run();
   EXPECT_LE(rig.lb->conntrack().size(), 256u);

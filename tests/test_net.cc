@@ -10,6 +10,7 @@
 #include "net/network.h"
 #include "net/packet_pool.h"
 #include "net/trace.h"
+#include "pooled_packet.h"
 #include "sim/simulator.h"
 
 namespace inband {
@@ -87,7 +88,11 @@ TEST(Packet, Format) {
 
 class CollectingSink : public PacketSink {
  public:
-  void handle_packet(Packet pkt) override { packets.push_back(std::move(pkt)); }
+  void handle_batch(PacketBatch&& batch) override {
+    for (std::uint32_t i = 0; i < batch.size(); ++i) {
+      packets.push_back(*batch[i]);
+    }
+  }
   std::vector<Packet> packets;
 };
 
@@ -103,9 +108,10 @@ TEST(Link, DeliveryTimeIncludesPropAndSerialization) {
   Simulator sim;
   Link link{sim, {1'000'000'000, us(10), 0}};
   CollectingSink sink;
+  PacketPool pool;
   Packet p;
   p.payload_len = 948;  // wire = 1000 bytes -> 8us serialization
-  ASSERT_TRUE(link.transmit(p, sink));
+  ASSERT_TRUE(link.transmit(pooled(pool, p), sink));
   sim.run();
   ASSERT_EQ(sink.packets.size(), 1u);
   EXPECT_EQ(sim.now(), us(18));
@@ -115,10 +121,11 @@ TEST(Link, BackToBackPacketsQueueBehindEachOther) {
   Simulator sim;
   Link link{sim, {1'000'000'000, 0, 0}};
   CollectingSink sink;
+  PacketPool pool;
   Packet p;
   p.payload_len = 948;  // 8us each
-  link.transmit(p, sink);
-  link.transmit(p, sink);
+  link.transmit(pooled(pool, p), sink);
+  link.transmit(pooled(pool, p), sink);
   sim.run();
   EXPECT_EQ(sim.now(), us(16));  // second waits for the first
   EXPECT_EQ(sink.packets.size(), 2u);
@@ -128,10 +135,11 @@ TEST(Link, ExtraDelayAppliesToSubsequentPackets) {
   Simulator sim;
   Link link{sim, {1'000'000'000, 0, 0}};
   CollectingSink sink;
+  PacketPool pool;
   link.set_extra_delay(ms(1));
   Packet p;
   p.payload_len = 948;
-  link.transmit(p, sink);
+  link.transmit(pooled(pool, p), sink);
   sim.run();
   EXPECT_EQ(sim.now(), ms(1) + us(8));
 }
@@ -141,11 +149,12 @@ TEST(Link, QueueOverflowDrops) {
   // Queue of 2000 bytes at 1 Gb/s = 16us of backlog allowed.
   Link link{sim, {1'000'000'000, 0, 2000}};
   CollectingSink sink;
+  PacketPool pool;
   Packet p;
   p.payload_len = 948;  // 8us serialization each
   int accepted = 0;
   for (int i = 0; i < 10; ++i) {
-    if (link.transmit(p, sink)) ++accepted;
+    if (link.transmit(pooled(pool, p), sink)) ++accepted;
   }
   EXPECT_LT(accepted, 10);
   EXPECT_EQ(link.drops(), 10u - static_cast<unsigned>(accepted));
@@ -157,9 +166,10 @@ TEST(Link, StatsCount) {
   Simulator sim;
   Link link{sim, {1'000'000'000, 0, 0}};
   CollectingSink sink;
+  PacketPool pool;
   Packet p;
   p.payload_len = 100;
-  link.transmit(p, sink);
+  link.transmit(pooled(pool, p), sink);
   EXPECT_EQ(link.tx_packets(), 1u);
   EXPECT_EQ(link.tx_bytes(), p.wire_size());
 }
@@ -167,8 +177,10 @@ TEST(Link, StatsCount) {
 class EchoHost : public Host {
  public:
   using Host::Host;
-  void handle_packet(Packet pkt) override {
-    received.push_back(pkt);
+  void handle_batch(PacketBatch&& batch) override {
+    for (std::uint32_t i = 0; i < batch.size(); ++i) {
+      received.push_back(*batch[i]);
+    }
   }
   std::vector<Packet> received;
 };
@@ -181,7 +193,7 @@ TEST(Network, RoutesByDeliveryAddress) {
   net.add_duplex_link(a.addr(), b.addr(), {1'000'000'000, us(5), 0});
   Packet p;
   p.flow = {{a.addr(), 1}, {b.addr(), 2}, IpProto::kTcp};
-  a.send(p);
+  a.send(pooled(net.pool(), p));
   sim.run();
   ASSERT_EQ(b.received.size(), 1u);
   EXPECT_GT(b.received[0].pkt_id, 0u);
@@ -198,7 +210,7 @@ TEST(Network, SendToOverridesFlowDestination) {
   Packet p;
   // Flow says "to b", but we deliver to c — the LB forwarding pattern.
   p.flow = {{a.addr(), 1}, {b.addr(), 2}, IpProto::kTcp};
-  a.send_to(c.addr(), p);
+  a.send_to(c.addr(), pooled(net.pool(), p));
   sim.run();
   EXPECT_EQ(b.received.size(), 0u);
   ASSERT_EQ(c.received.size(), 1u);
@@ -213,8 +225,8 @@ TEST(Network, PacketIdsAreUniqueAndIncreasing) {
   net.add_link(1, 2, {1'000'000'000, 0, 0});
   Packet p;
   p.flow = {{1, 1}, {2, 2}, IpProto::kTcp};
-  a.send(p);
-  a.send(p);
+  a.send(pooled(net.pool(), p));
+  a.send(pooled(net.pool(), p));
   sim.run();
   ASSERT_EQ(b.received.size(), 2u);
   EXPECT_LT(b.received[0].pkt_id, b.received[1].pkt_id);
@@ -229,7 +241,7 @@ TEST(Network, DropCounting) {
   Packet p;
   p.payload_len = 1400;
   p.flow = {{1, 1}, {2, 2}, IpProto::kTcp};
-  for (int i = 0; i < 20; ++i) a.send(p);
+  for (int i = 0; i < 20; ++i) a.send(pooled(net.pool(), p));
   const NetStats stats = net.stats();
   EXPECT_GT(stats.packets_dropped, 0u);
   EXPECT_EQ(stats.packets_sent, 20u);
@@ -256,11 +268,11 @@ TEST(Trace, RecordsAndFilters) {
   TraceRecorder trace{net, /*vantage=*/2};
   Packet p;
   p.flow = {{1, 5}, {2, 6}, IpProto::kTcp};
-  a.send(p);  // 1 -> 2 : vantage sees (arriving at 2)
+  a.send(pooled(net.pool(), p));  // 1 -> 2 : vantage sees (arriving at 2)
   sim.run();
   Packet q;
   q.flow = {{2, 6}, {3, 7}, IpProto::kTcp};
-  b.send(q);  // 2 -> 3 : vantage sees (departing 2)
+  b.send(pooled(net.pool(), q));  // 2 -> 3 : vantage sees (departing 2)
   sim.run();
   EXPECT_EQ(trace.rows().size(), 2u);
 }
@@ -276,7 +288,7 @@ TEST(Trace, SaveLoadRoundTrip) {
   p.flow = {{1, 1000}, {2, 80}, IpProto::kTcp};
   p.seq = 42;
   p.flags = tcpflag::kSyn;
-  a.send(p);
+  a.send(pooled(net.pool(), p));
   sim.run();
 
   const std::string path = testing::TempDir() + "/trace_roundtrip.csv";
@@ -307,11 +319,12 @@ TEST(LinkJitter, AddsDelayButKeepsFifoOrder) {
   LinkParams params{1'000'000'000, us(10), 0, us(20), 1.5, 99};
   Link link{sim, params};
   CollectingSink sink;
+  PacketPool pool;
   Packet p;
   p.payload_len = 100;
   for (std::uint32_t i = 0; i < 200; ++i) {
     p.seq = i;  // transmit order marker (no Network to stamp pkt_id)
-    link.transmit(p, sink);
+    link.transmit(pooled(pool, p), sink);
   }
   while (sim.step()) {
   }
@@ -326,12 +339,13 @@ TEST(LinkJitter, DelayStatistics) {
   Simulator sim;
   Link link{sim, {1'000'000'000, us(10), 0, us(20), 1.0, 5}};
   CollectingSink sink;
+  PacketPool pool;
   std::vector<SimTime> deliveries;
   for (int i = 0; i < 200; ++i) {
     sim.run_until(i * ms(1));
     Packet p;
     p.payload_len = 948;  // base delay = 18us
-    link.transmit(p, sink);
+    link.transmit(pooled(pool, p), sink);
     sim.run();  // drain: single delivery event
     deliveries.push_back(sim.now() - i * ms(1));
   }
@@ -355,10 +369,11 @@ TEST(LinkJitter, DeterministicForSameSeed) {
     Simulator sim;
     Link link{sim, {1'000'000'000, us(10), 0, us(20), 1.2, seed}};
     CollectingSink sink;
+    PacketPool pool;
     Packet p;
     p.payload_len = 50;
     std::vector<SimTime> times;
-    for (int i = 0; i < 50; ++i) link.transmit(p, sink);
+    for (int i = 0; i < 50; ++i) link.transmit(pooled(pool, p), sink);
     while (!sim.stopped() && sim.step()) times.push_back(sim.now());
     return times;
   };
@@ -370,9 +385,10 @@ TEST(LinkJitter, ZeroJitterIsExact) {
   Simulator sim;
   Link link{sim, {1'000'000'000, us(10), 0, 0, 0.0, 1}};
   CollectingSink sink;
+  PacketPool pool;
   Packet p;
   p.payload_len = 948;  // 8us serialization
-  link.transmit(p, sink);
+  link.transmit(pooled(pool, p), sink);
   sim.run();
   EXPECT_EQ(sim.now(), us(18));
 }
@@ -491,7 +507,7 @@ TEST(PacketBatchPath, MatchesLegacyScalarTiming) {
       Packet p;
       p.flow = flow;
       p.payload_len = 200;
-      a.send(p);
+      a.send(pooled(net.pool(), p));
       Packet probe;
       probe.payload_len = 200;
       oracle.send(t, probe.wire_size());
@@ -513,8 +529,9 @@ TEST(PacketBatchPath, MatchesLegacyScalarTiming) {
 
 // Deterministic per-packet verdicts keyed on the stamped pkt_id: both paths
 // stamp the same id sequence, so both apply the same drop/hold/duplicate
-// pattern. Exercises BatchVerdict dispatch (drop recycles the slot, holds
-// re-clock through the simulator, duplicates ride pooled clones).
+// pattern. Exercises verdict dispatch on batch sends (drop recycles the
+// slot, holds re-clock through the simulator, duplicates ride pooled
+// clones).
 class PatternInterceptor : public SendInterceptor {
  public:
   SendVerdict on_send(const Packet& pkt, Ipv4, Ipv4) override {
@@ -582,28 +599,6 @@ TEST(PacketBatchPath, BatchVerdictsMatchLegacyScalarPath) {
   net.set_interceptor(nullptr);
 }
 
-// A legacy sink that only overrides handle_packet still receives batched
-// traffic through the default unbatching shim.
-TEST(PacketBatchPath, DefaultShimDeliversToScalarSinks) {
-  Simulator sim;
-  Network net{sim};
-  EchoHost a{sim, net, 1, "a"};
-  EchoHost b{sim, net, 2, "b"};  // overrides handle_packet only
-  net.add_link(1, 2, {1'000'000'000, us(5), 0});
-  PacketBatch batch;
-  for (std::uint32_t j = 0; j < 4; ++j) {
-    PacketRef ref = net.pool().acquire();
-    ref->flow = {{1, 1}, {2, 2}, IpProto::kTcp};
-    ref->seq = j;
-    batch.push(std::move(ref));
-  }
-  EXPECT_EQ(a.send_batch(2, batch), 4u);
-  sim.run();
-  ASSERT_EQ(b.received.size(), 4u);
-  for (std::uint32_t j = 0; j < 4; ++j) EXPECT_EQ(b.received[j].seq, j);
-  EXPECT_EQ(net.pool().stats().outstanding, 0u);
-}
-
 TEST(PacketBatchPath, NetStatsTracksBatchesAndPool) {
   Simulator sim;
   Network net{sim};
@@ -628,6 +623,81 @@ TEST(PacketBatchPath, NetStatsTracksBatchesAndPool) {
   EXPECT_EQ(stats.pool.outstanding, 0u);
   EXPECT_GE(stats.pool.high_water, 7u);
   EXPECT_EQ(stats.pool.acquired, stats.pool.released);
+}
+
+// --- remote egress ---
+
+// Stub cross-shard egress: accepts everything and records what it was given.
+struct RecordingEgress : RemoteEgress {
+  struct Forwarded {
+    std::uint64_t pkt_id;
+    std::uint32_t seq;
+    Ipv4 from, to;
+  };
+  bool forward(const Packet& pkt, Ipv4 from, Ipv4 to) override {
+    forwarded.push_back({pkt.pkt_id, pkt.seq, from, to});
+    return true;
+  }
+  std::vector<Forwarded> forwarded;
+};
+
+struct CountingInterceptor : SendInterceptor {
+  SendVerdict on_send(const Packet&, Ipv4, Ipv4) override {
+    ++calls;
+    return {};
+  }
+  int calls = 0;
+};
+
+// A send over a missing link goes to the remote egress, stamped and
+// observed like a local send but never shown to the fault interceptor; the
+// local slot recycles once the egress has copied what it needs.
+TEST(Network, RemoteEgressTakesSendsOverMissingLinks) {
+  constexpr Ipv4 kRemote = 9;
+  Simulator sim;
+  Network net{sim};
+  BatchRecordingHost a{sim, net, 1, "a"};
+  RecordingEgress egress;
+  CountingInterceptor interceptor;
+  TraceRecorder trace{net};
+  net.set_remote_egress(&egress);
+  net.set_interceptor(&interceptor);
+  auto packet = [&](std::uint32_t seq) {
+    PacketRef ref = net.pool().acquire();
+    ref->flow = {{1, 1000}, {kRemote, 80}, IpProto::kTcp};
+    ref->seq = seq;
+    return ref;
+  };
+
+  EXPECT_TRUE(a.send(packet(0)));
+  PacketBatch batch;
+  for (std::uint32_t j = 1; j < 6; ++j) batch.push(packet(j));
+  EXPECT_EQ(a.send_batch(kRemote, batch), 5u);
+  EXPECT_TRUE(batch.empty());
+  sim.run();
+
+  ASSERT_EQ(egress.forwarded.size(), 6u);
+  ASSERT_EQ(trace.rows().size(), 6u);
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    const auto& f = egress.forwarded[i];
+    EXPECT_EQ(f.seq, i);
+    EXPECT_EQ(trace.rows()[i].seq, i);
+    EXPECT_EQ(f.from, 1u);
+    EXPECT_EQ(f.to, kRemote);
+    if (i > 0) {
+      EXPECT_LT(egress.forwarded[i - 1].pkt_id, f.pkt_id);
+    }
+  }
+  EXPECT_EQ(interceptor.calls, 0);
+  const NetStats stats = net.stats();
+  EXPECT_EQ(stats.packets_sent, 6u);
+  EXPECT_EQ(stats.remote_packets, 6u);
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.batch_packets, 5u);
+  EXPECT_EQ(net.pool().stats().outstanding, 0u);
+  EXPECT_TRUE(a.arrivals.empty());
+  net.set_interceptor(nullptr);
+  net.set_remote_egress(nullptr);
 }
 
 }  // namespace

@@ -200,7 +200,8 @@ TEST(RunShardPrograms, DrivesEveryProgramToCompletion) {
     for (int i = 0; i < 5; ++i) progs.emplace_back(100 + i);
     std::vector<ShardProgram*> ptrs;
     for (auto& p : progs) ptrs.push_back(&p);
-    run_shard_programs(ptrs, workers, /*sched_seed=*/workers);
+    run_shard_programs(ptrs, workers,
+                       /*sched_seed=*/static_cast<std::uint64_t>(workers));
     for (int i = 0; i < 5; ++i) {
       EXPECT_EQ(progs[static_cast<std::size_t>(i)].count(), 100 + i)
           << "workers=" << workers;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "net/trace.h"
+#include "pooled_packet.h"
 #include "tcp/seq.h"
 #include "tcp/stack.h"
 #include "util/rng.h"
@@ -279,8 +280,8 @@ TEST(TcpHandshake, SynRetransmitsOnLoss) {
   Packet junk;
   junk.flow = {{kA, 9}, {kB, 9}, IpProto::kUdp};
   junk.payload_len = 1400;
-  rig.net.send(kA, kB, junk);
-  rig.net.send(kA, kB, junk);
+  rig.net.send(kA, kB, pooled(rig.net.pool(), junk));
+  rig.net.send(kA, kB, pooled(rig.net.pool(), junk));
 
   bool established = false;
   auto* client = rig.a.stack().connect({kB, kPort});
@@ -721,7 +722,11 @@ TEST(TcpStack, ListenerSeesVipAddressedFlows) {
   struct Fwd final : Host {
     using Host::Host;
     Ipv4 target = 0;
-    void handle_packet(Packet pkt) override { send_to(target, std::move(pkt)); }
+    void handle_batch(PacketBatch&& batch) override {
+      for (std::uint32_t i = 0; i < batch.size(); ++i) {
+        send_to(target, batch.take(i));
+      }
+    }
   };
   Fwd fwd{sim, net, kVip, "fwd"};
   fwd.target = kB;
@@ -760,7 +765,7 @@ TEST(TcpStack, StrayPacketGetsRst) {
   stray.flow = {{kA, 1234}, {kB, kPort}, IpProto::kTcp};
   stray.flags = tcpflag::kAck;
   stray.ack = 77;
-  rig.net.send(kA, kB, stray);
+  rig.net.send(kA, kB, pooled(rig.net.pool(), stray));
   rig.sim.run_until(ms(1));
   EXPECT_EQ(rig.b.stack().resets_sent(), 1u);
 }
