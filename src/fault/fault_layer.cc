@@ -106,10 +106,10 @@ SendVerdict FaultLayer::on_send(const Packet& pkt, Ipv4 from, Ipv4 to) {
   const auto it = links_.find(link_key(from, to));
   if (it == links_.end()) return {};
   LinkState& link = it->second;
-  ++counters_.get("fault.decisions");
+  ++decisions_;
 
   if (link.down_count > 0) {
-    ++counters_.get("fault.flap_drops");
+    ++flap_drops_;
     // hotlint:allow(hot-growth): one id per dropped packet, faults only
     dropped_ids_.insert(pkt.pkt_id);
     record_link_event(FaultEvent::Kind::kFlapDrop, link.ref);
@@ -122,7 +122,7 @@ SendVerdict FaultLayer::on_send(const Packet& pkt, Ipv4 from, Ipv4 to) {
   for (const LinkFaultSpec* spec : link.specs) {
     if (now < spec->start || now >= spec->end) continue;
     if (spec->loss > 0.0 && link.rng.bernoulli(spec->loss)) {
-      ++counters_.get("fault.loss");
+      ++losses_;
       // hotlint:allow(hot-growth): one id per dropped packet, faults only
       dropped_ids_.insert(pkt.pkt_id);
       record_link_event(FaultEvent::Kind::kLoss, link.ref);
@@ -134,7 +134,7 @@ SendVerdict FaultLayer::on_send(const Packet& pkt, Ipv4 from, Ipv4 to) {
       // stresses the estimators harder than a back-to-back one.
       verdict.duplicate_hold = static_cast<SimTime>(link.rng.uniform_u64(
           0, static_cast<std::uint64_t>(spec->reorder_hold_max)));
-      ++counters_.get("fault.duplicates");
+      ++duplicates_;
       touched = true;
       record_link_event(FaultEvent::Kind::kDuplicate, link.ref);
     }
@@ -142,7 +142,7 @@ SendVerdict FaultLayer::on_send(const Packet& pkt, Ipv4 from, Ipv4 to) {
       verdict.hold += static_cast<SimTime>(link.rng.uniform_u64(
           static_cast<std::uint64_t>(spec->reorder_hold_min),
           static_cast<std::uint64_t>(spec->reorder_hold_max)));
-      ++counters_.get("fault.reorders");
+      ++reorders_;
       touched = true;
       record_link_event(FaultEvent::Kind::kReorder, link.ref);
     }
@@ -151,21 +151,19 @@ SendVerdict FaultLayer::on_send(const Packet& pkt, Ipv4 from, Ipv4 to) {
           0, static_cast<std::uint64_t>(spec->jitter_max)));
       if (j > 0) {
         verdict.hold += j;
-        ++counters_.get("fault.jittered");
+        ++jittered_;
       }
     }
   }
-  ++counters_.get("fault.passed");
+  ++passed_;
   // hotlint:allow(hot-growth): one id per faulted-but-forwarded packet
   if (touched) touched_forwarded_ids_.insert(pkt.pkt_id);
   return verdict;
 }
 
 void FaultLayer::audit_invariants(AuditScope& scope) const {
-  const std::uint64_t decisions = counters_.value("fault.decisions");
-  const std::uint64_t drops = counters_.value("fault.loss") +
-                              counters_.value("fault.flap_drops");
-  scope.check(decisions == drops + counters_.value("fault.passed"),
+  const std::uint64_t drops = losses_ + flap_drops_;
+  scope.check(decisions_ == drops + passed_,
               "decisions-partitioned",
               "decisions != drops + passed");
   scope.check(dropped_ids_.size() == drops, "dropped-ids-match-counters",
@@ -242,6 +240,7 @@ void FaultLayer::digest_state(StateDigest& digest) const {
     digest.mix_u32(static_cast<std::uint32_t>(flap.phase));
   }
   for (const auto& [name, value] : counters_.snapshot()) {
+    if (value == 0) continue;  // registered but never bumped
     digest.mix_string(name);
     digest.mix(value);
   }

@@ -121,6 +121,14 @@ class FaultLayer final : public SendInterceptor {
   std::vector<FlapState> flaps_;
   std::vector<FaultEvent> events_;
   CounterSet counters_;
+  // Resolved once here: on_send() increments through these per packet.
+  std::uint64_t& decisions_ = counters_.get("fault.decisions");
+  std::uint64_t& passed_ = counters_.get("fault.passed");
+  std::uint64_t& flap_drops_ = counters_.get("fault.flap_drops");
+  std::uint64_t& losses_ = counters_.get("fault.loss");
+  std::uint64_t& duplicates_ = counters_.get("fault.duplicates");
+  std::uint64_t& reorders_ = counters_.get("fault.reorders");
+  std::uint64_t& jittered_ = counters_.get("fault.jittered");
   // Decision bookkeeping for the "dropped xor delivered" audit. Only faulted
   // packets are tracked, so the sets stay proportional to the fault rate.
   std::unordered_set<std::uint64_t> dropped_ids_;

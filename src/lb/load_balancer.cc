@@ -32,7 +32,7 @@ void LoadBalancer::handle_batch(PacketBatch&& batch) {
 
 void LoadBalancer::forward(PacketRef pkt) {
   const SimTime now = sim().now();
-  ++counters_.get("lb.packets_in");
+  ++packets_in_;
   conntrack_.sweep(now);
 
   BackendId backend = conntrack_.lookup(pkt->flow, now);
@@ -41,27 +41,27 @@ void LoadBalancer::forward(PacketRef pkt) {
     backend = policy_->pick(pkt->flow, now);
     if (backend == kNoBackend || backend >= pool_.size() ||
         !pool_[backend].healthy) {
-      ++counters_.get("lb.drops_no_backend");
+      ++drops_no_backend_;
       return;
     }
     // hotlint:allow(hot-growth): ConnTracker::insert, not a container op
     conntrack_.insert(pkt->flow, backend, now);
     new_flow = true;
     ++new_flows_per_backend_[backend];
-    ++counters_.get("lb.new_flows");
+    ++new_flows_;
   }
 
   if (pkt->has(tcpflag::kFin) || pkt->has(tcpflag::kRst)) {
     if (conntrack_.mark_closing(pkt->flow, now)) {
       policy_->on_flow_closed(pkt->flow, backend, now);
-      ++counters_.get("lb.flows_closed");
+      ++flows_closed_;
     }
   }
 
   policy_->on_packet(*pkt, backend, now, new_flow);
 
   ++forwarded_per_backend_[backend];
-  ++counters_.get("lb.packets_forwarded");
+  ++packets_forwarded_;
   send_to(pool_[backend].addr, std::move(pkt));
 }
 
@@ -70,7 +70,7 @@ void LoadBalancer::set_backend_health(BackendId id, bool healthy) {
   if (pool_[id].healthy == healthy) return;
   pool_[id].healthy = healthy;
   policy_->on_pool_change(pool_);
-  ++counters_.get("lb.pool_changes");
+  ++pool_changes_;
 }
 
 void LoadBalancer::set_backend_weight(BackendId id, std::uint32_t weight) {
@@ -78,7 +78,7 @@ void LoadBalancer::set_backend_weight(BackendId id, std::uint32_t weight) {
   if (pool_[id].weight == weight) return;
   pool_[id].weight = weight;
   policy_->on_pool_change(pool_);
-  ++counters_.get("lb.pool_changes");
+  ++pool_changes_;
 }
 
 std::uint64_t LoadBalancer::forwarded_to(BackendId id) const {
@@ -110,6 +110,7 @@ void LoadBalancer::digest_state(StateDigest& digest) const {
   for (const auto v : forwarded_per_backend_) digest.mix(v);
   for (const auto v : new_flows_per_backend_) digest.mix(v);
   for (const auto& [name, value] : counters_.snapshot()) {
+    if (value == 0) continue;  // registered but never bumped
     digest.mix_string(name);
     digest.mix(value);
   }

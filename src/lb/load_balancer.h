@@ -67,6 +67,13 @@ class LoadBalancer : public Host {
   std::unique_ptr<RoutingPolicy> policy_;
   ConnTracker conntrack_;
   CounterSet counters_;
+  // Resolved once here: the per-packet path increments through these.
+  std::uint64_t& packets_in_ = counters_.get("lb.packets_in");
+  std::uint64_t& packets_forwarded_ = counters_.get("lb.packets_forwarded");
+  std::uint64_t& new_flows_ = counters_.get("lb.new_flows");
+  std::uint64_t& flows_closed_ = counters_.get("lb.flows_closed");
+  std::uint64_t& drops_no_backend_ = counters_.get("lb.drops_no_backend");
+  std::uint64_t& pool_changes_ = counters_.get("lb.pool_changes");
   std::vector<std::uint64_t> forwarded_per_backend_;
   std::vector<std::uint64_t> new_flows_per_backend_;
 };

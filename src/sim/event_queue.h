@@ -7,8 +7,7 @@
 //
 // Storage design (see DESIGN.md §10): two structures replace the former
 // std::function + unordered_map<EventId, handler> + binary-heap trio, which
-// paid one heap allocation plus a hash insert/erase per scheduled event and
-// an O(log n) serial pointer chase per pop.
+// paid one heap allocation plus a hash insert/erase per scheduled event.
 //
 // 1. A slab-allocated event pool for the callbacks:
 //  * Each event occupies a fixed-size pool slot whose EventCallback member
@@ -26,20 +25,21 @@
 //    handles can never alias a newer event (the ABA guard; exercised by the
 //    wraparound test via EventQueueTestPeer).
 //
-// 2. A hierarchical timing wheel for the pending set (the classic
-//    discrete-event answer to the binary heap's O(log n) pops):
-//  * Two rings of 64 buckets cover the near future at widths of 2^6 and
-//    2^12 ticks; events beyond the 2^18-tick horizon wait in a 4-ary
-//    branchless min-heap keyed by a packed (time, seq) 128-bit key.
-//  * push() appends to the right ring slot in O(1) (the level is picked by
-//    XOR-ing the event time with the wheel cursor, as in kernel timer
-//    wheels). A ring slot is sorted by (time, seq) once, when the cursor
-//    reaches it, so ordering costs O(b log b) per slot instead of O(log n)
-//    per event; pops then consume the sorted slot in place.
+// 2. One 4-ary min-heap for the pending set, keyed by a packed (time, seq)
+//    128-bit key and stored as parallel (key, payload) arrays:
+//  * Rig workloads keep about 60–180 events pending, so the heap is 3–4
+//    levels deep; pops use a branchless min-of-4 tournament over the four
+//    adjacent children.
+//  * The heap's capacity is its only growth. It reaches its high-water mark
+//    almost at once (within the first ~420 pushes of an lbbench rig run;
+//    DESIGN.md §10), which is what keeps the steady state allocation-free.
+//  * Cancelled entries stay behind as tombstones: popped off the top when
+//    they surface, and swept out in bulk once they make up a quarter of
+//    the heap (see cancel()).
 //  * The pop order is the strict total order on (time, seq) — seq is the
 //    unique monotonic push counter — so FIFO-among-ties holds and the pop
-//    sequence (and therefore every digest) is bit-identical to what the
-//    single-heap implementations produced.
+//    sequence (and therefore every digest) is independent of the heap's
+//    internal layout.
 #pragma once
 
 #include <cstddef>
@@ -195,7 +195,7 @@ class EventQueue {
     // hotlint:allow(hot-growth): emplace targets the slot's inline buffer
     s.callback.emplace(std::forward<F>(fn));
     const std::uint64_t seq = next_seq_++;
-    place(WheelEntry{make_key(t, seq), slot, s.gen});
+    heap_push(make_key(t, seq), make_payload(slot, s.gen));
     ++live_;
     return make_id(slot, s.gen);
   }
@@ -226,13 +226,13 @@ class EventQueue {
   // Returns the event's time. The queue must not be empty.
   template <typename Pre>
   INBAND_HOT SimTime fire_next(Pre&& pre) {
-    WheelEntry* head = front_entry();
-    INBAND_ASSERT(head != nullptr, "fire_next() on empty event queue");
-    const SimTime t = key_time(head->key);
-    const std::uint32_t slot = head->slot;
+    const bool any = settle_head();
+    INBAND_ASSERT(any, "fire_next() on empty event queue");
+    const SimTime t = key_time(heap_keys_.front());
+    const std::uint32_t slot = payload_slot(heap_payload_.front());
     Slot& s = slot_ref(slot);
-    INBAND_DCHECK(s.gen == head->gen && s.callback);
-    ++pos_;  // consume before the callback runs: it may push into this bucket
+    INBAND_DCHECK(s.gen == payload_gen(heap_payload_.front()) && s.callback);
+    heap_pop();  // removed before the callback runs
     --live_;
     INBAND_DCHECK(last_popped_ == kNoTime || t >= last_popped_,
                   "event queue popped backwards in time");
@@ -240,7 +240,7 @@ class EventQueue {
     retire_handle(s);  // the firing event's own id goes dead, as with pop()
     firing_slot_ = slot;  // occupied but no longer live, for the auditor
     pre(t);
-    s.callback();  // may push/cancel freely; `head` may dangle from here on
+    s.callback();  // may push/cancel freely
     s.callback.reset();
     firing_slot_ = kNullSlot;
     recycle_slot(slot, s);
@@ -254,7 +254,7 @@ class EventQueue {
 
   // Invariant audit: pool/live bookkeeping agrees and the next live event
   // is not earlier than the last popped one (time monotonicity). Non-const
-  // because inspecting the head may compact tombstones.
+  // because inspecting the head pops cancelled entries off the heap.
   void audit_invariants(AuditScope& scope);
 
   // Folds scheduling state into a determinism digest (handlers themselves
@@ -283,12 +283,6 @@ class EventQueue {
   // Requires t >= 0, asserted in push().
   __extension__ typedef unsigned __int128 Key;
 
-  struct WheelEntry {
-    Key key;
-    std::uint32_t slot;
-    std::uint32_t gen;
-  };
-
   static Key make_key(SimTime t, std::uint64_t seq) {
     return (static_cast<Key>(static_cast<std::uint64_t>(t)) << 64) | seq;
   }
@@ -296,125 +290,70 @@ class EventQueue {
     return static_cast<SimTime>(static_cast<std::uint64_t>(k >> 64));
   }
 
-  // --- Timing-wheel geometry. Each level's 64 buckets span the next 6 bits
-  // of the event time; anything beyond the 2^18-tick horizon waits in the
-  // far heap. Two levels (not the kernel's four+) because the far heap is a
-  // single structure whose capacity high-water is reached almost
-  // immediately, whereas every ring bucket is first touched only when the
-  // cursor first enters its time range — more rings would push first-touch
-  // growth arbitrarily late into a run.
-  static constexpr std::uint32_t kWheelBits = 6;
-  static constexpr std::uint32_t kWheelSlots = 1u << kWheelBits;  // 64
-  static constexpr std::uint64_t kWheelMask = kWheelSlots - 1;
-  static constexpr int kWheelLevels = 2;
-  static constexpr std::uint32_t kL0Shift = 6;
-  static constexpr std::uint32_t kL1Shift = 12;
-  static constexpr std::uint32_t kFarShift = 18;
-  // Buckets are first reached only when the cursor enters their time range,
-  // so without an up-front reserve the first-touch growth of each vector
-  // would surface as rare allocations arbitrarily late in a run. Reserved in
-  // the constructor; sized above the worst per-bucket coincidence the rig
-  // workloads produce (occupancy spikes past 16 were observed as mid-run
-  // capacity doublings under the zero-alloc gate), because a bucket's first
-  // growth past the reserve can happen arbitrarily late. 128 buckets at
-  // 64 entries of 16 bytes is 128 KiB per queue — noise next to the slab.
-  static constexpr std::size_t kBucketReserve = 64;
-  static constexpr std::size_t kFarReserve = 64;
-
-  // Files a pending entry by its distance from the wheel cursor: the level
-  // is the highest base-64 digit in which the event time differs from the
-  // cursor (the XOR trick from kernel timer wheels). O(1); bucket vectors
-  // stay unsorted until the cursor reaches them.
-  void place(const WheelEntry& e) {
-    const std::uint64_t t = static_cast<std::uint64_t>(key_time(e.key));
-    const std::uint64_t w = static_cast<std::uint64_t>(wtime_);
-    if ((t >> kL0Shift) <= (w >> kL0Shift)) {
-      // At or before the active bucket (e.g. scheduling at the current
-      // time): merge into its sorted, partially consumed remainder.
-      insert_active(e);
-      return;
-    }
-    const std::uint64_t x = t ^ w;
-    if (x < (1ull << kL1Shift)) {
-      ring_append(0, (t >> kL0Shift) & kWheelMask, e);
-    } else if (x < (1ull << kFarShift)) {
-      ring_append(1, (t >> kL1Shift) & kWheelMask, e);
-    } else {
-      far_push(e);
-    }
+  // A pending entry's payload packs (slot << 32 | gen); the entry is live
+  // while its slot still carries that generation.
+  static std::uint64_t make_payload(std::uint32_t slot, std::uint32_t gen) {
+    return static_cast<std::uint64_t>(slot) << 32 | gen;
+  }
+  static std::uint32_t payload_slot(std::uint64_t p) {
+    return static_cast<std::uint32_t>(p >> 32);
+  }
+  static std::uint32_t payload_gen(std::uint64_t p) {
+    return static_cast<std::uint32_t>(p);
+  }
+  bool is_live(std::uint64_t payload) const {
+    return slot_ref(payload_slot(payload)).gen == payload_gen(payload);
   }
 
-  void ring_append(int level, std::uint64_t bucket, const WheelEntry& e) {
-    // hotlint:allow(hot-growth): buckets reserve kBucketReserve in the ctor
-    rings_[level][bucket].push_back(e);
-    occ_[level] |= 1ull << bucket;
-  }
+  // Initial heap capacity, and the tombstone count below which cancel()
+  // never compacts.
+  static constexpr std::size_t kHeapReserve = 64;
 
-  std::vector<WheelEntry>& active_bucket() {
-    return rings_[0][(static_cast<std::uint64_t>(wtime_) >> kL0Shift) &
-                     kWheelMask];
-  }
-
-  // Ordered insert into the active bucket's unconsumed tail. Rare (only
-  // events landing at or before the cursor's own bucket) and cheap: buckets
-  // hold a handful of entries.
-  void insert_active(const WheelEntry& e) {
-    std::vector<WheelEntry>& v = active_bucket();
-    std::size_t lo = pos_;
-    std::size_t hi = v.size();
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (v[mid].key < e.key) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    // hotlint:allow(hot-growth): allocates only past the ctor's reservation
-    v.insert(v.begin() + static_cast<std::ptrdiff_t>(lo), e);
-  }
-
-  // Earliest live pending entry (tombstones skipped), or nullptr when the
-  // queue holds no live events. The fast path — a live head in the active
-  // bucket — stays inline; bucket advance/cascade/far drain is out of line.
-  WheelEntry* front_entry() {
-    std::vector<WheelEntry>& v = active_bucket();
-    while (pos_ < v.size()) {
-      WheelEntry& e = v[pos_];
-      if (slot_ref(e.slot).gen == e.gen) return &e;
-      ++pos_;  // cancelled while queued: tombstone
-    }
-    return advance_cursor();
-  }
-
-  WheelEntry* advance_cursor();            // walks buckets/levels/far heap
-  void cascade(std::vector<WheelEntry>& bucket);  // re-files one level down
-
-  // Far-horizon overflow: a 4-ary min-heap in parallel (keys, payload)
-  // arrays. Pops use a branchless min-of-4 tournament over the four
-  // adjacent children; payload packs (slot << 32 | gen).
-  void far_push(const WheelEntry& e) {
-    std::size_t i = far_keys_.size();
-    // hotlint:allow(hot-growth): far_keys_ reserves kFarReserve in the ctor
-    far_keys_.emplace_back();  // hole; filled on the way down
-    // hotlint:allow(hot-growth): far_payload_ reserves kFarReserve in the ctor
-    far_payload_.emplace_back();
+  void heap_push(Key key, std::uint64_t payload) {
+    std::size_t i = heap_keys_.size();
+    // hotlint:allow(hot-growth): heap_keys_ reserves kHeapReserve in the ctor
+    heap_keys_.emplace_back();  // new last slot; the entry sifts up from it
+    // hotlint:allow(hot-growth): heap_payload_ reserves kHeapReserve in the ctor
+    heap_payload_.emplace_back();
     while (i > 0) {
       const std::size_t parent = (i - 1) >> 2;
-      if (far_keys_[parent] < e.key) break;
-      far_keys_[i] = far_keys_[parent];
-      far_payload_[i] = far_payload_[parent];
+      if (heap_keys_[parent] < key) break;
+      heap_keys_[i] = heap_keys_[parent];
+      heap_payload_[i] = heap_payload_[parent];
       i = parent;
     }
-    far_keys_[i] = e.key;
-    far_payload_[i] =
-        static_cast<std::uint64_t>(e.slot) << 32 | e.gen;
+    heap_keys_[i] = key;
+    heap_payload_[i] = payload;
   }
-  WheelEntry far_pop();
 
-  // Rebuilds the far heap without its tombstones; see cancel() for the
-  // trigger policy. Keeps the (time, seq) pop order bit-identical.
-  void compact_far();
+  // Stores (key, payload) at index i, whose subtrees are heaps, moving it
+  // down until the subtree rooted at i is a heap too.
+  void sift_down(std::size_t i, Key key, std::uint64_t payload);
+
+  // Removes the root entry: the last entry moves to the root and sifts down.
+  void heap_pop() {
+    const Key key = heap_keys_.back();
+    const std::uint64_t payload = heap_payload_.back();
+    heap_keys_.pop_back();
+    heap_payload_.pop_back();
+    if (!heap_keys_.empty()) sift_down(0, key, payload);
+  }
+
+  // Pops cancelled entries off the top; true when the top is then a live
+  // event, false when the queue holds none.
+  bool settle_head() {
+    while (!heap_keys_.empty()) {
+      if (is_live(heap_payload_.front())) return true;
+      heap_pop();
+      INBAND_DCHECK(heap_tombstones_ > 0);
+      --heap_tombstones_;
+    }
+    return false;
+  }
+
+  // Rebuilds the heap without its tombstones; see cancel() for the trigger
+  // policy. Keeps the (time, seq) pop order bit-identical.
+  void compact_heap();
 
   static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(slot) + 1) << 32 | gen;
@@ -468,15 +407,9 @@ class EventQueue {
     free_head_ = index;
   }
 
-  // Pending set (see file comment): three 64-bucket rings over the near
-  // future plus the far-horizon heap. wtime_ is the start of the active
-  // level-0 bucket; pos_ is how much of that (sorted) bucket has popped.
-  std::vector<WheelEntry> rings_[kWheelLevels][kWheelSlots];
-  std::uint64_t occ_[kWheelLevels] = {0, 0};  // nonempty-bucket bitmaps
-  std::vector<Key> far_keys_;
-  std::vector<std::uint64_t> far_payload_;
-  SimTime wtime_ = 0;
-  std::size_t pos_ = 0;
+  // Pending set (see file comment), live entries and tombstones alike.
+  std::vector<Key> heap_keys_;
+  std::vector<std::uint64_t> heap_payload_;
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_ = 0;     // slots ever handed out (chunk frontier)
@@ -486,7 +419,7 @@ class EventQueue {
   // an audit running inside the callback must expect one extra occupant.
   std::uint32_t firing_slot_ = kNullSlot;
   std::uint64_t retired_slots_ = 0;  // permanently parked by the gen guard
-  std::uint64_t far_cancels_ = 0;    // cancels since the last far compaction
+  std::uint64_t heap_tombstones_ = 0;  // cancelled entries still in the heap
   std::uint64_t next_seq_ = 1;       // monotonic push counter (never reused)
   std::size_t live_ = 0;
   SimTime last_popped_ = kNoTime;

@@ -54,7 +54,7 @@ class Simulator {
   INBAND_HOT bool step();
 
   // Absolute time of the earliest pending event; kNoTime when none. Non-const
-  // because inspecting the head may advance the wheel cursor.
+  // because inspecting the head pops cancelled entries off the queue's heap.
   SimTime next_event_time() { return queue_.next_time(); }
 
   // Commits the clock to t (>= now) without running anything. The parallel

@@ -49,10 +49,8 @@ TEST(AllocFree, EventQueueSteadyStatePushPop) {
     q.push(at, FakeDelivery{std::move(pkt), &fired});
   };
   for (int i = 0; i < 128; ++i) push_one(t + i);
-  // Warm-up: lets the pool, every wheel bucket, and the far heap reach
-  // their capacity high-water marks. A ring bucket is first touched when
-  // the cursor first enters its time range, so the warm-up must cover a
-  // full level-1 ring cycle (2^18 ticks at one tick per event).
+  // Warm-up: lets the pool and the pending heap reach their capacity
+  // high-water marks.
   for (int i = 0; i < 300000; ++i) {
     t = q.fire_next([](SimTime) {});
     push_one(t + 128);
@@ -84,8 +82,9 @@ TEST(AllocFree, EventQueueCancelRecycle) {
     q.push(t + 10, FakeDelivery{std::move(pkt2), &fired});
     t = q.fire_next([](SimTime) {});
   };
-  // Warm-up covers two full level-1 ring cycles (time advances ~10 ticks
-  // per cycle) so every bucket has seen its worst-case load once.
+  // Warm-up: lets the pool and the pending heap, tombstones included,
+  // reach their capacity high-water marks. cancel()'s compaction bounds
+  // the heap's mark.
   for (int i = 0; i < 60000; ++i) cycle();
   const auto before = allocs::snapshot();
   for (int i = 0; i < 100000; ++i) cycle();
