@@ -334,6 +334,23 @@ TEST(ShardedRig, CombinedDigestPinned) {
   // the channel protocol, the address plan, or shard seeding moves this.
   const ShardedResult got = run_sharded(sharded_config(4, 2, 0));
   EXPECT_EQ(got.combined, 0x9ebf4e9b9cb381f7ULL);
+
+  // The same topology at the lengths of the shorter and longer historical
+  // sharded-rig runs: 4 shards x 300 ms and 8 shards x 1000 ms.
+  struct Case {
+    int shards;
+    SimTime duration;
+    std::uint64_t combined;
+  };
+  const Case cases[] = {{4, ms(300), 0x6cef37c99adf15f9ULL},
+                        {8, ms(1000), 0xadd97dd3802f3b89ULL}};
+  for (const Case& c : cases) {
+    ShardedRigConfig cfg = sharded_config(c.shards, 4, 0);
+    cfg.shard.duration = c.duration;
+    cfg.shard.inject_time = c.duration / 2;
+    EXPECT_EQ(run_sharded(cfg).combined, c.combined)
+        << "shards=" << c.shards;
+  }
 }
 
 TEST(ShardedRig, FaultPlanDeterministicAcrossWorkerCounts) {
