@@ -222,7 +222,7 @@ BENCHMARK(BM_InbandPolicy_OnPacket_ClientFloor);
 // map-of-std::function queue had to heap-allocate for, and the historical
 // workload the slab-vs-legacy comparison was built around. (Since the
 // PacketBatch redesign, live deliveries capture only a PacketSink pointer
-// plus a pooled PacketRef; perf_dataplane's eq_steady models that size.)
+// plus a pooled PacketRef.)
 struct DeliveryPayload {
   unsigned char packet_bytes[136];
   std::uint64_t* fired;

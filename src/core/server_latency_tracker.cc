@@ -25,7 +25,11 @@ void ServerLatencyTracker::record(BackendId backend, SimTime now,
   if (t_lb < 0) return;
   auto& e = entries_[backend];
   e.ewma.record(now, static_cast<double>(t_lb));
-  e.window.record(now, t_lb);
+  // Only score() in p95 mode reads the window; the audit and the digest
+  // read the EWMA and the counters.
+  if (config_.mode == LatencyScoreMode::kWindowedP95) {
+    e.window.record(now, t_lb);
+  }
   e.last_sample = now;
   ++e.count;
 }

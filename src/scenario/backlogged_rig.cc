@@ -1,5 +1,6 @@
 #include "scenario/backlogged_rig.h"
 
+#include "lb/policies.h"
 #include "util/assert.h"
 
 namespace inband {
@@ -44,16 +45,10 @@ BackloggedRig::BackloggedRig(BackloggedRigConfig config)
   net_.add_link(kReceiverAddr, kSenderAddr, back);
 
   BackendPool pool{{0, "receiver", kReceiverAddr, 1, true}};
-  auto base_policy =
-      std::make_unique<StaticMaglevPolicy>(pool, /*table_size=*/251);
-  auto tapped = std::make_unique<TapPolicy>(
-      std::move(base_policy),
-      [this](const Packet& pkt, BackendId, SimTime now) {
-        (void)pkt;
-        arrivals_.push_back(now);
-      });
-  lb_ = std::make_unique<LoadBalancer>(sim_, net_, kVip, "lb", pool,
-                                       std::move(tapped));
+  lb_ = std::make_unique<LoadBalancer>(
+      sim_, net_, kVip, "lb", pool,
+      std::make_unique<StaticMaglevPolicy>(pool, /*table_size=*/251));
+  net_.set_observer(this);
 
   if (config_.fault.enabled()) {
     INBAND_ASSERT(config_.fault.servers.empty(),
@@ -72,6 +67,12 @@ BackloggedRig::BackloggedRig(BackloggedRigConfig config)
   bulk_sender_->set_rtt_recorder([this](SimTime now, SimTime rtt) {
     ground_truth_.push_back({now, rtt});
   });
+}
+
+void BackloggedRig::on_packet(const Packet& /*pkt*/, Ipv4 from,
+                              Ipv4 /*to*/) {
+  // hotlint:allow(hot-growth): the rig's output, one timestamp per packet
+  if (from == kVip) arrivals_.push_back(sim_.now());
 }
 
 void BackloggedRig::run() {

@@ -20,7 +20,6 @@
 #include "app/bulk_flow.h"
 #include "fault/fault_layer.h"
 #include "lb/load_balancer.h"
-#include "lb/policies.h"
 #include "net/network.h"
 #include "scenario/metrics.h"
 #include "sim/simulator.h"
@@ -67,7 +66,7 @@ struct BackloggedRigConfig {
 };
 
 INBAND_SHARD_LOCAL(owner)
-class BackloggedRig {
+class BackloggedRig : public PacketObserver {
  public:
   explicit BackloggedRig(BackloggedRigConfig config = {});
 
@@ -88,6 +87,10 @@ class BackloggedRig {
   FaultLayer* fault() { return fault_.get(); }
 
  private:
+  // Records the LB's forwarding times: every packet the LB sends on was
+  // received at that same instant.
+  void on_packet(const Packet& pkt, Ipv4 from, Ipv4 to) override;
+
   BackloggedRigConfig config_;
   Simulator sim_;
   Network net_;
@@ -101,35 +104,6 @@ class BackloggedRig {
   std::unique_ptr<BulkSink> bulk_sink_;
   std::vector<SimTime> arrivals_;
   std::vector<Sample> ground_truth_;
-};
-
-// Decorates a policy with a per-packet observation callback; used by rigs to
-// tap the LB's vantage without changing routing.
-INBAND_SHARD_LOCAL(lb)
-class TapPolicy final : public RoutingPolicy {
- public:
-  using Tap = std::function<void(const Packet&, BackendId, SimTime)>;
-
-  TapPolicy(std::unique_ptr<RoutingPolicy> inner, Tap tap)
-      : inner_{std::move(inner)}, tap_{std::move(tap)} {}
-
-  std::string name() const override { return "tap+" + inner_->name(); }
-  BackendId pick(const FlowKey& flow, SimTime now) override {
-    return inner_->pick(flow, now);
-  }
-  void on_packet(const Packet& pkt, BackendId backend, SimTime now,
-                 bool new_flow) override {
-    inner_->on_packet(pkt, backend, now, new_flow);
-    if (tap_) tap_(pkt, backend, now);
-  }
-  void on_flow_closed(const FlowKey& flow, BackendId backend,
-                      SimTime now) override {
-    inner_->on_flow_closed(flow, backend, now);
-  }
-
- private:
-  std::unique_ptr<RoutingPolicy> inner_;
-  Tap tap_;
 };
 
 }  // namespace inband

@@ -1,10 +1,10 @@
 // Global operator new/delete replacements that count allocations.
 //
-// Linked ONLY into binaries that want counting (bench/perf_dataplane); see
-// alloc_counter.h. Under sanitizers the replacements are compiled out — the
-// sanitizer runtimes interpose the same symbols and must keep doing so — and
-// counting_enabled() reports false so harnesses skip the metric instead of
-// reporting zeros.
+// Linked ONLY into binaries that want counting (bench/micro_dataplane,
+// tests/test_alloc, lbbench); see alloc_counter.h. Under sanitizers the
+// replacements are compiled out — the sanitizer runtimes interpose the same
+// symbols and must keep doing so — and counting_enabled() reports false so
+// harnesses skip the metric instead of reporting zeros.
 #include "util/alloc_counter.h"
 
 #include <atomic>

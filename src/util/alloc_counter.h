@@ -1,8 +1,9 @@
-// Heap-allocation counting hook for the perf harness.
+// Heap-allocation counting hook for the benchmarks and allocation tests.
 //
 // Declarations only: the global operator new/delete replacements live in
 // alloc_counter.cc, which is deliberately NOT part of inband_util — linking
-// it into a binary (bench/perf_dataplane) opts that binary into counting.
+// it into a binary (bench/micro_dataplane, tests/test_alloc, lbbench) opts
+// that binary into counting.
 // Keeping the replacement out of the library keeps sanitizer builds (whose
 // runtimes interpose the same symbols) untouched.
 #pragma once

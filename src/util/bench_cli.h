@@ -1,7 +1,7 @@
-// Common command-line surface for the bench drivers.
+// Common command-line surface for the JSON-emitting bench drivers.
 //
-// Every per-figure bench (fig2a/fig2b/fig3, the ablations, perf_dataplane)
-// shares one option set on top of util/flags:
+// A bench driver built on BenchCli (today: ablation_controllers) gets one
+// option set on top of util/flags:
 //
 //   --json <path>   write a machine-readable result summary (JSON envelope
 //                   {schema, bench, quick, seed, metrics:{...}})
@@ -39,9 +39,6 @@ class BenchCli {
   bool quick() const { return quick_; }
   std::int64_t seed() const { return seed_; }
   const std::string& json_path() const { return json_path_; }
-
-  // Pre-loads a default --json path (call before parse()).
-  void set_json_default(std::string path) { json_path_ = std::move(path); }
 
   // Writes the common JSON envelope to --json (no-op when the flag is
   // unset). `fill` receives a writer inside the "metrics" object. Returns

@@ -354,36 +354,6 @@ std::unique_ptr<JsonValue> json_parse(std::string_view text,
   return Parser{text, error}.run();
 }
 
-void json_write_value(JsonWriter& w, const JsonValue& v) {
-  switch (v.kind) {
-    case JsonValue::Kind::kNull:
-      w.value_null();
-      break;
-    case JsonValue::Kind::kBool:
-      w.value(v.bool_v);
-      break;
-    case JsonValue::Kind::kNumber:
-      w.value(v.num_v);
-      break;
-    case JsonValue::Kind::kString:
-      w.value(std::string_view{v.str_v});
-      break;
-    case JsonValue::Kind::kArray:
-      w.begin_array();
-      for (const auto& e : v.arr_v) json_write_value(w, e);
-      w.end_array();
-      break;
-    case JsonValue::Kind::kObject:
-      w.begin_object();
-      for (const auto& [k, e] : v.obj_v) {
-        w.key(k);
-        json_write_value(w, e);
-      }
-      w.end_object();
-      break;
-  }
-}
-
 std::unique_ptr<JsonValue> json_parse_file(const std::string& path,
                                            std::string* error) {
   std::ifstream in{path};

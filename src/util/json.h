@@ -5,7 +5,7 @@
 // number formatting) so bench JSON diffs cleanly between runs. The parser
 // covers the subset the benches produce — objects, arrays, strings, numbers,
 // booleans, null — and exists so harnesses can validate their own output
-// schema and merge a baseline file without an external dependency.
+// schema without an external dependency.
 #pragma once
 
 #include <cstdint>
@@ -95,11 +95,6 @@ struct JsonValue {
 // Parses `text`; returns nullptr and fills `error` on malformed input.
 std::unique_ptr<JsonValue> json_parse(std::string_view text,
                                       std::string* error);
-
-// Re-emits a parsed value through a writer (used to splice a baseline file
-// into a new report). For objects the writer must have a key pending or be
-// inside an array / at top level, as with any other value() call.
-void json_write_value(JsonWriter& w, const JsonValue& v);
 
 // Convenience: reads and parses a file. Returns nullptr on IO/parse error.
 std::unique_ptr<JsonValue> json_parse_file(const std::string& path,

@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "core/inband_lb_policy.h"
+#include "dataplane_rig.h"
 #include "net/packet.h"
 #include "net/packet_pool.h"
 #include "scenario/cluster_rig.h"
@@ -224,6 +225,26 @@ TEST(AllocFree, Fig3RigSteadyStateZeroAllocs) {
       << delta.bytes << " bytes allocated across "
       << stats.packets_sent << " packets";
   EXPECT_GT(stats.pool.high_water, 0u);
+}
+
+// The whole-run budget, churn included: the quick reference rig (connection
+// set-up and teardown, share sampling, delay injection) counted over run()
+// alone. 0.0876 per packet is the rig's recorded allocation baseline (24831
+// allocations over 283402 packets sent). The slack is tools/perfcmp's rule
+// for allocation metrics: 10% relative (ALLOC_SLACK) plus 0.01 absolute
+// (ALLOC_EPSILON).
+TEST(AllocFree, QuickRigWholeRunAllocsPerPacketBounded) {
+  SKIP_UNLESS_COUNTING();
+  ClusterRig rig{dataplane_rig_config(2, 2, ms(400))};
+  const auto before = allocs::snapshot();
+  rig.run();
+  const auto delta = allocs::delta(before, allocs::snapshot());
+  const auto packets = rig.net().stats().packets_sent;
+  ASSERT_GT(packets, 0u);
+  const double per_packet =
+      static_cast<double>(delta.count) / static_cast<double>(packets);
+  EXPECT_LE(per_packet, 0.0876 * 1.10 + 0.01)
+      << delta.count << " allocations over " << packets << " packets";
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "core/flow_state_table.h"
 #include "core/inband_lb_policy.h"
 #include "core/server_latency_tracker.h"
+#include "dataplane_rig.h"
 #include "scenario/cluster_rig.h"
 
 namespace inband {
@@ -1301,23 +1302,10 @@ TEST(AlphaShiftDifferential, ControlStepMirrorsEvaluate) {
 }
 
 TEST(AlphaShiftDifferential, QuickRigDigestPinnedAcrossRefactor) {
-  // The perf_dataplane --quick rig (seed 2022, 400ms, 2 servers, 2 client
-  // hosts) produced this digest before the WeightController extraction; the
-  // refactored default α-shift path must reproduce it bit for bit. Keep in
-  // sync with .perf_baseline/dataplane_quick.json (rig_digest).
-  ClusterRigConfig cfg;
-  cfg.mode = LbMode::kInband;
-  cfg.num_servers = 2;
-  cfg.num_client_hosts = 2;
-  cfg.duration = ms(400);
-  cfg.inject_time = cfg.duration / 2;
-  cfg.seed = 2022;
-  cfg.client.connections = 4;
-  cfg.client.pipeline = 4;
-  cfg.server.workers = 8;
-  cfg.share_sample_interval = ms(10);
-  cfg.audit_interval = 0;
-  ClusterRig rig{cfg};
+  // The quick reference rig (seed 2022, 400ms, 2 servers, 2 client hosts)
+  // produced this digest before the WeightController extraction; the
+  // refactored default α-shift path must reproduce it bit for bit.
+  ClusterRig rig{dataplane_rig_config(2, 2, ms(400))};
   rig.run();
   EXPECT_EQ(rig.state_digest(), 0x082ea340888d2502ULL);
 }

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "app/message.h"
+#include "dataplane_rig.h"
 #include "fault/fault_plan.h"
 #include "net/shard_channel.h"
 #include "scenario/cluster_rig.h"
@@ -213,25 +214,6 @@ TEST(RunShardPrograms, DrivesEveryProgramToCompletion) {
 
 // ---------------------------------------------------------------- ShardedRig
 
-// The perf_dataplane rig configs (bench/perf_dataplane.cc rig_config): the
-// quick and full variants whose ClusterRig digests are pinned repo-wide.
-ClusterRigConfig dataplane_rig_config(int servers, int clients,
-                                      SimTime duration) {
-  ClusterRigConfig cfg;
-  cfg.mode = LbMode::kInband;
-  cfg.num_servers = servers;
-  cfg.num_client_hosts = clients;
-  cfg.duration = duration;
-  cfg.inject_time = duration / 2;
-  cfg.seed = 2022;
-  cfg.client.connections = 4;
-  cfg.client.pipeline = 4;
-  cfg.server.workers = 8;
-  cfg.share_sample_interval = ms(10);
-  cfg.audit_interval = 0;
-  return cfg;
-}
-
 // A scaled-down sharded topology for the invariance sweeps.
 ShardedRigConfig sharded_config(int shards, int workers,
                                 std::uint64_t sched_seed) {
@@ -290,8 +272,8 @@ TEST(ShardedRig, SingleShardOneWorkerMatchesClusterRigQuickDigest) {
 }
 
 TEST(ShardedRig, SingleShardOneWorkerMatchesFullRigDigest) {
-  // ISSUE 10 satellite: the full perf_dataplane rig (seed 2022, 3000 ms,
-  // 4 servers, 4 client hosts) digest, reproduced through the sharded path.
+  // The full reference rig (seed 2022, 3000 ms, 4 servers, 4 client hosts)
+  // digest, reproduced through the sharded path.
   ShardedRigConfig cfg;
   cfg.num_shards = 1;
   cfg.workers = 1;
@@ -335,8 +317,7 @@ TEST(ShardedRig, CombinedDigestPinned) {
   const ShardedResult got = run_sharded(sharded_config(4, 2, 0));
   EXPECT_EQ(got.combined, 0x9ebf4e9b9cb381f7ULL);
 
-  // The same topology at the lengths of the shorter and longer historical
-  // sharded-rig runs: 4 shards x 300 ms and 8 shards x 1000 ms.
+  // Two more sizes of the same topology: 4 shards x 300 ms and 8 x 1000 ms.
   struct Case {
     int shards;
     SimTime duration;
