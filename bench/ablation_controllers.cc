@@ -19,17 +19,18 @@
 //     16 ms epoch over that settled window: 0 for a law at rest, high for
 //     one that herds (scenario/metrics.h).
 //
-// Every cell runs twice with the same seed; the state digests must match or
-// the harness exits non-zero — controller determinism is part of the result,
-// not an assumption. The JSON report self-validates against its schema
-// (exit non-zero on mismatch), so CI can run `--quick` as a smoke test.
+// One CSV row per cell on stdout. Every cell runs twice with the same seed;
+// the state digests must match or the harness exits non-zero — controller
+// determinism is part of the result, not an assumption — so CI can run
+// `--quick` as a smoke test.
 #include <cstdio>
+#include <iostream>
 #include <string>
 #include <vector>
 
 #include "scenario/cluster_rig.h"
-#include "util/bench_cli.h"
-#include "util/json.h"
+#include "util/csv.h"
+#include "util/flags.h"
 
 using namespace inband;
 
@@ -153,70 +154,25 @@ CellResult run_cell(ControllerKind kind, const PlanSpec& spec,
   return cell;
 }
 
-const char* const kRequiredCellKeys[] = {
-    "controller",    "plan",          "convergence_ms",
-    "steady_p95_us", "steady_p99_us", "oscillation_tv_per_epoch",
-    "updates",       "digest",        "digest_match",
-};
-
-bool validate_report(const std::string& path, std::size_t expected_cells,
-                     std::string* error) {
-  auto root = json_parse_file(path, error);
-  if (root == nullptr) return false;
-  const JsonValue* schema = root->find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->str_v != BenchCli::kSchema) {
-    *error = "bad or missing schema tag";
-    return false;
-  }
-  const JsonValue* metrics = root->find("metrics");
-  if (metrics == nullptr || !metrics->is_object()) {
-    *error = "missing metrics object";
-    return false;
-  }
-  const JsonValue* cells = metrics->find("cells");
-  if (cells == nullptr || !cells->is_array()) {
-    *error = "missing metrics.cells array";
-    return false;
-  }
-  if (cells->arr_v.size() != expected_cells) {
-    *error = "metrics.cells has wrong cardinality";
-    return false;
-  }
-  for (const auto& cell : cells->arr_v) {
-    for (const char* key : kRequiredCellKeys) {
-      if (cell.find(key) == nullptr) {
-        *error = std::string{"cell missing key: "} + key;
-        return false;
-      }
-    }
-    const JsonValue* match = cell.find("digest_match");
-    if (!match->is_bool()) {
-      *error = "cell digest_match is not a bool";
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchCli cli{"ablation_controllers",
-               "controller zoo vs fault plans: convergence, steady tails, "
-               "oscillation"};
   std::int64_t duration_ms = 4000;
   std::int64_t servers = 3;
+  std::int64_t seed = 2022;
+  bool quick = false;
   std::string only_controller;
-  cli.flags().add("duration_ms", &duration_ms, "simulated ms per cell");
-  cli.flags().add("servers", &servers, "rig server count");
-  cli.flags().add("controller", &only_controller,
-                  "restrict the sweep to one controller (by name)");
-  if (!cli.parse(argc, argv)) return 1;
+  FlagSet flags{"controller zoo vs fault plans: convergence, steady tails, "
+                "oscillation"};
+  flags.add("duration_ms", &duration_ms, "simulated ms per cell");
+  flags.add("servers", &servers, "rig server count");
+  flags.add("seed", &seed, "simulation seed");
+  flags.add("quick", &quick, "800 ms cells, for smoke tests");
+  flags.add("controller", &only_controller,
+            "restrict the sweep to one controller (by name)");
+  if (!flags.parse(argc, argv)) return 1;
 
-  if (cli.quick()) {
-    duration_ms = 800;
-  }
+  if (quick) duration_ms = 800;
   const SimTime duration = ms(duration_ms);
 
   std::vector<ControllerKind> kinds;
@@ -232,67 +188,30 @@ int main(int argc, char** argv) {
   }
   const auto plans = make_plans(duration);
 
-  std::vector<CellResult> cells;
+  CsvWriter csv{std::cout};
+  csv.header("controller", "plan", "convergence_ms", "steady_p95_us",
+             "steady_p99_us", "oscillation_tv_per_epoch", "updates",
+             "samples", "digest", "digest_match");
   bool all_match = true;
-  std::fprintf(stderr,
-               "%-22s %-6s %14s %12s %12s %10s %8s\n", "controller", "plan",
-               "convergence_ms", "p95_us", "p99_us", "osc_tv", "updates");
   for (const ControllerKind kind : kinds) {
     for (const auto& spec : plans) {
-      CellResult cell =
-          run_cell(kind, spec, cli.seed(), duration,
-                   static_cast<int>(servers));
+      const CellResult cell = run_cell(kind, spec, seed, duration,
+                                       static_cast<int>(servers));
       all_match = all_match && cell.digest_match;
-      std::fprintf(stderr, "%-22s %-6s %14.2f %12.1f %12.1f %10.4f %8llu%s\n",
-                   cell.controller.c_str(), cell.plan.c_str(),
-                   cell.convergence_ms, cell.steady_p95_us, cell.steady_p99_us,
-                   cell.oscillation_tv_per_epoch,
-                   static_cast<unsigned long long>(cell.updates),
-                   cell.digest_match ? "" : "  DIGEST MISMATCH");
-      cells.push_back(std::move(cell));
-    }
-  }
-
-  const bool wrote = cli.write_json([&](JsonWriter& w) {
-    w.kv("duration_ms", duration_ms);
-    w.kv("servers", servers);
-    w.kv("plans", static_cast<std::int64_t>(plans.size()));
-    w.key("cells").begin_array();
-    for (const auto& cell : cells) {
-      w.begin_object();
-      w.kv("controller", cell.controller);
-      w.kv("plan", cell.plan);
-      w.kv("convergence_ms", cell.convergence_ms);
-      w.kv("steady_p95_us", cell.steady_p95_us);
-      w.kv("steady_p99_us", cell.steady_p99_us);
-      w.kv("oscillation_tv_per_epoch", cell.oscillation_tv_per_epoch);
-      w.kv("updates", cell.updates);
-      w.kv("samples", cell.samples);
       char hex[32];
       std::snprintf(hex, sizeof hex, "%016llx",
                     static_cast<unsigned long long>(cell.digest));
-      w.kv("digest", hex);
-      w.kv("digest_match", cell.digest_match);
-      w.end_object();
+      csv.row(cell.controller, cell.plan, cell.convergence_ms,
+              cell.steady_p95_us, cell.steady_p99_us,
+              cell.oscillation_tv_per_epoch, cell.updates, cell.samples, hex,
+              cell.digest_match ? 1 : 0);
+      std::cout.flush();
     }
-    w.end_array();
-  });
-  if (!wrote) return 1;
+  }
 
-  int rc = 0;
   if (!all_match) {
     std::fprintf(stderr, "FAIL: same-seed cell digests diverged\n");
-    rc = 1;
+    return 1;
   }
-  if (!cli.json_path().empty()) {
-    std::string error;
-    if (!validate_report(cli.json_path(), cells.size(), &error)) {
-      std::fprintf(stderr, "FAIL: %s schema: %s\n", cli.json_path().c_str(),
-                   error.c_str());
-      rc = 1;
-    } else {
-      std::fprintf(stderr, "report ok: %s\n", cli.json_path().c_str());
-    }
-  }
-  return rc;
+  return 0;
 }

@@ -23,7 +23,6 @@
 #include "util/hotpath.h"
 #include "util/rng.h"
 #include "util/shard.h"
-#include "util/shared_pool.h"
 
 namespace inband {
 
@@ -96,7 +95,6 @@ class KvClient {
   TcpHost& host_;
   KvClientConfig config_;
   Rng rng_;
-  SharedPool<KvMessage> msg_pool_;  // recycles request objects
   std::unique_ptr<ZipfDistribution> zipf_;  // null => uniform keys
   Recorder recorder_;
   std::vector<ConnSlot> slots_;

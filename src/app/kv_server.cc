@@ -43,26 +43,23 @@ void KvServer::abort_all_connections() {
 
 void KvServer::on_accept(TcpConnection& conn) {
   open_conns_.insert(&conn);
-  conn.callbacks().on_message =
-      [this](TcpConnection& c, std::shared_ptr<const AppPayload> payload) {
-        auto req = std::dynamic_pointer_cast<const KvMessage>(payload);
-        INBAND_ASSERT(req != nullptr, "non-KV payload at KV server");
-        INBAND_ASSERT(req->kind == KvKind::kRequest);
-        on_request(c, std::move(req));
-      };
+  conn.callbacks().on_message = [this](TcpConnection& c,
+                                       const KvMessage& req) {
+    INBAND_ASSERT(req.kind == KvKind::kRequest);
+    on_request(c, req);
+  };
   conn.callbacks().on_peer_close = [](TcpConnection& c) { c.close(); };
   conn.callbacks().on_closed = [this](TcpConnection& c, bool /*reset*/) {
     open_conns_.erase(&c);
   };
 }
 
-void KvServer::on_request(TcpConnection& conn,
-                          std::shared_ptr<const KvMessage> request) {
-  Pending work{&conn, std::move(request)};
+void KvServer::on_request(TcpConnection& conn, const KvMessage& request) {
+  const Pending work{&conn, request};
   if (busy_workers_ < config_.workers) {
-    start_processing(std::move(work));
+    start_processing(work);
   } else {
-    queue_.push(std::move(work));
+    queue_.push(work);
     max_queue_depth_ = std::max(max_queue_depth_, queue_.size());
   }
 }
@@ -99,25 +96,30 @@ double KvServer::busy_worker_seconds(SimTime now) const {
          1e9;
 }
 
-void KvServer::start_processing(Pending work) {
+void KvServer::start_processing(const Pending& work) {
   const SimTime now = host_.sim().now();
   SimTime start_at = now;
   for (auto& inj : injectors_) {
     start_at = std::max(start_at, inj->frozen_until(now));
   }
-  const SimTime svc = service_time(*work.request);
+  const SimTime svc = service_time(work.request);
   account_busy(now, +1);
-  host_.sim().schedule_at(start_at + svc,
-                          [this, w = std::move(work)]() mutable {
-                            finish(std::move(w));
-                          });
+  struct Finish {
+    KvServer* server;
+    Pending work;
+    void operator()() const { server->finish(work); }
+  };
+  // One service completion per request: it must live inline in the event
+  // pool, or every request pays a heap allocation.
+  static_assert(EventCallback::fits_inline<Finish>());
+  host_.sim().schedule_at(start_at + svc, Finish{this, work});
 }
 
-void KvServer::finish(Pending work) {
+void KvServer::finish(const Pending& work) {
   const SimTime now = host_.sim().now();
   account_busy(now, -1);
 
-  const KvMessage& req = *work.request;
+  const KvMessage& req = work.request;
   bool hit = false;
   std::uint32_t value_len = 0;
   if (req.op == KvOp::kSet) {
@@ -138,22 +140,20 @@ void KvServer::finish(Pending work) {
   // The connection may have died while the request was in service.
   if (open_conns_.find(work.conn) != open_conns_.end() &&
       work.conn->can_send()) {
-    auto resp = msg_pool_.make();
-    fill_kv_response(*resp, req, hit, value_len);
-    const std::uint32_t wire = kv_response_wire_size(*resp);
-    work.conn->send_message(std::move(resp), wire);
+    const KvMessage resp = kv_response(req, hit, value_len);
+    work.conn->send_message(resp, kv_response_wire_size(resp));
   }
 
   if (!queue_.empty() && busy_workers_ < config_.workers) {
-    Pending next = std::move(queue_.front());
+    Pending next = queue_.front();
     queue_.pop();
     // Dead connections may sit in the queue; drop their work.
     while (open_conns_.find(next.conn) == open_conns_.end()) {
       if (queue_.empty()) return;
-      next = std::move(queue_.front());
+      next = queue_.front();
       queue_.pop();
     }
-    start_processing(std::move(next));
+    start_processing(next);
   }
 }
 

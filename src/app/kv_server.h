@@ -25,7 +25,6 @@
 #include "util/ring_buffer.h"
 #include "util/rng.h"
 #include "util/shard.h"
-#include "util/shared_pool.h"
 
 namespace inband {
 
@@ -71,21 +70,19 @@ class KvServer {
  private:
   struct Pending {
     TcpConnection* conn;
-    std::shared_ptr<const KvMessage> request;
+    KvMessage request;
   };
 
   void on_accept(TcpConnection& conn);
-  INBAND_HOT void on_request(TcpConnection& conn,
-                             std::shared_ptr<const KvMessage> request);
-  void start_processing(Pending work);
-  INBAND_HOT void finish(Pending work);
+  INBAND_HOT void on_request(TcpConnection& conn, const KvMessage& request);
+  void start_processing(const Pending& work);
+  INBAND_HOT void finish(const Pending& work);
   SimTime service_time(const KvMessage& request);
   void account_busy(SimTime now, int delta);
 
   TcpHost& host_;
   KvServerConfig config_;
   Rng rng_;
-  SharedPool<KvMessage> msg_pool_;  // recycles response objects
   std::vector<std::unique_ptr<VariabilityInjector>> injectors_;
   std::unordered_map<std::uint64_t, std::uint32_t> store_;  // key -> size
   std::unordered_set<TcpConnection*> open_conns_;

@@ -13,21 +13,16 @@ std::uint32_t kv_response_wire_size(const KvMessage& response) {
   return kKvResponseHeader;
 }
 
-void fill_kv_response(KvMessage& out, const KvMessage& req, bool hit,
+KvMessage kv_response(const KvMessage& req, bool hit,
                       std::uint32_t value_len) {
-  out.kind = KvKind::kResponse;
-  out.op = req.op;
-  out.id = req.id;
-  out.key = req.key;
-  out.hit = hit;
-  out.value_len = value_len;
-  out.created_at = req.created_at;
-}
-
-std::shared_ptr<KvMessage> make_kv_response(const KvMessage& req, bool hit,
-                                            std::uint32_t value_len) {
-  auto resp = std::make_shared<KvMessage>();
-  fill_kv_response(*resp, req, hit, value_len);
+  KvMessage resp;
+  resp.kind = KvKind::kResponse;
+  resp.op = req.op;
+  resp.hit = hit;
+  resp.value_len = value_len;
+  resp.id = req.id;
+  resp.key = req.key;
+  resp.created_at = req.created_at;
   return resp;
 }
 

@@ -1,39 +1,17 @@
 // Key-value wire protocol (memcached-flavoured).
 //
-// Requests and responses are KvMessage payloads carried through the TCP
-// model. Wire sizes approximate memcached's text protocol: a fixed header
-// plus the value bytes for SETs and GET hits. The response echoes the
+// Requests and responses are KvMessage values (net/packet.h) carried through
+// the TCP model. Wire sizes approximate memcached's text protocol: a fixed
+// header plus the value bytes for SETs and GET hits. The response echoes the
 // request id and creation timestamp so the client can compute end-to-end
 // latency without a lookup table.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "net/packet.h"
-#include "util/time.h"
 
 namespace inband {
-
-enum class KvOp : std::uint8_t { kGet, kSet };
-enum class KvKind : std::uint8_t { kRequest, kResponse };
-
-struct KvMessage final : AppPayload {
-  KvKind kind = KvKind::kRequest;
-  KvOp op = KvOp::kGet;
-  std::uint64_t id = 0;
-  std::uint64_t key = 0;
-  std::uint32_t value_len = 0;  // SET request / GET-hit response value bytes
-  bool hit = false;             // GET response only
-  SimTime created_at = kNoTime;  // stamped at the client on request creation
-
-  // KV messages cross shard boundaries (remote clients in the sharded rig);
-  // the clone is a plain heap copy, deliberately NOT pool-backed — the copy
-  // is owned by the receiving shard, whose pools it does not belong to.
-  std::shared_ptr<const AppPayload> clone_detached() const override {
-    return std::make_shared<KvMessage>(*this);
-  }
-};
 
 // Header sizes loosely modelled on memcached's text protocol framing.
 inline constexpr std::uint32_t kKvRequestHeader = 40;
@@ -42,13 +20,7 @@ inline constexpr std::uint32_t kKvResponseHeader = 32;
 std::uint32_t kv_request_wire_size(KvOp op, std::uint32_t value_len);
 std::uint32_t kv_response_wire_size(const KvMessage& response);
 
-// Fills `out` with the response to `req` (store effects are applied by the
-// server). Split out so pooled allocation (util/shared_pool.h) can reuse it.
-void fill_kv_response(KvMessage& out, const KvMessage& req, bool hit,
-                      std::uint32_t value_len);
-
-// Builds the response to `req` with a fresh heap allocation.
-std::shared_ptr<KvMessage> make_kv_response(const KvMessage& req, bool hit,
-                                            std::uint32_t value_len);
+// The response to `req` (store effects are applied by the server).
+KvMessage kv_response(const KvMessage& req, bool hit, std::uint32_t value_len);
 
 }  // namespace inband

@@ -2,17 +2,17 @@
 //
 // A TCP-ish segment: flow key, 32-bit sequence/ack numbers (with wraparound,
 // as on the wire), flags, advertised window, timestamp option, and a payload
-// *length* rather than payload bytes. Application messages ride along as
-// shared_ptrs annotated with the stream offset at which they end, so the
-// receiver's TCP can deliver a message object exactly when its final byte
-// arrives in order — message content never teleports around the simulated
-// network.
+// *length* rather than payload bytes. Application messages ride along by
+// value, annotated with the stream offset at which they end, so the
+// receiver's TCP can deliver a message exactly when its final byte arrives
+// in order — message content never teleports around the simulated network.
+// A Packet is plain data: copying or moving it copies its messages, so it
+// crosses shard boundaries (net/shard_channel.h) like any other value.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -23,25 +23,27 @@
 
 namespace inband {
 
-// Base class for application payload objects carried inside packets.
-struct AppPayload {
-  virtual ~AppPayload() = default;
+// The one application message type: a memcached-flavoured GET/SET request
+// or its response (app/message.h has the wire sizes). Segments carry it by
+// value, like a header field, so it lives in net/, which cannot include app/.
+enum class KvOp : std::uint8_t { kGet, kSet };
+enum class KvKind : std::uint8_t { kRequest, kResponse };
 
-  // Deep copy with fresh ownership, required when a packet crosses a shard
-  // boundary (net/shard_channel.h): the clone must share no control block or
-  // pooled storage with the original, because the original's teardown stays
-  // on the producing shard's thread. Payload types that never cross shards
-  // may keep the default; the boundary asserts on it.
-  virtual std::shared_ptr<const AppPayload> clone_detached() const {
-    return nullptr;
-  }
+struct KvMessage {
+  KvKind kind = KvKind::kRequest;
+  KvOp op = KvOp::kGet;
+  bool hit = false;             // GET response only
+  std::uint32_t value_len = 0;  // SET request / GET-hit response value bytes
+  std::uint64_t id = 0;
+  std::uint64_t key = 0;
+  SimTime created_at = kNoTime;  // stamped at the client on request creation
 };
 
 // A message whose final byte lies within this segment's payload.
 // `end_offset` is an absolute 64-bit stream offset (one past the last byte).
 struct MessageRef {
   std::uint64_t end_offset = 0;
-  std::shared_ptr<const AppPayload> payload;
+  KvMessage msg;
 };
 
 // Message container with inline storage for the common case.
@@ -78,10 +80,10 @@ class MsgList {
   }
   ~MsgList() { clear(); }
 
-  void push_msg(MessageRef m) {
+  void push_msg(const MessageRef& m) {
     if (heap_ == nullptr) {
       if (size_ < kInline) {
-        inline_[size_++] = std::move(m);
+        inline_[size_++] = m;
         return;
       }
       INBAND_COLD_OK("spill past inline capacity: rig packets carry <=2 msgs");
@@ -90,7 +92,7 @@ class MsgList {
       INBAND_COLD_OK("heap regrowth only beyond inline capacity");
       spill(2 * heap_cap_);
     }
-    heap_[size_++] = std::move(m);
+    heap_[size_++] = m;
   }
 
   void clear() {
@@ -99,8 +101,6 @@ class MsgList {
       delete[] heap_;
       heap_ = nullptr;
       heap_cap_ = 0;
-    } else {
-      for (std::uint32_t i = 0; i < size_; ++i) inline_[i] = MessageRef{};
     }
     size_ = 0;
   }
@@ -119,7 +119,7 @@ class MsgList {
   void spill(std::uint32_t new_cap) {
     MessageRef* grown = new MessageRef[new_cap];
     MessageRef* old = heap_ != nullptr ? heap_ : inline_;
-    for (std::uint32_t i = 0; i < size_; ++i) grown[i] = std::move(old[i]);
+    for (std::uint32_t i = 0; i < size_; ++i) grown[i] = old[i];
     delete[] heap_;
     heap_ = grown;
     heap_cap_ = new_cap;
@@ -137,9 +137,7 @@ class MsgList {
       other.heap_ = nullptr;
       other.heap_cap_ = 0;
     } else {
-      for (std::uint32_t i = 0; i < size_; ++i) {
-        inline_[i] = std::move(other.inline_[i]);
-      }
+      for (std::uint32_t i = 0; i < size_; ++i) inline_[i] = other.inline_[i];
     }
     other.size_ = 0;
   }
@@ -191,13 +189,5 @@ struct Packet {
 };
 
 std::string format_packet(const Packet& p);
-
-// Field-by-field copy whose message refs are deep clones with fresh
-// ownership (AppPayload::clone_detached). The cross-shard ingress uses this
-// instead of Packet's implicit copy, whose MsgList copy would share
-// refcounted state across the shard boundary: the consumer's copy could then
-// be the last ref to die, running a pooled deleter on the wrong thread.
-// Asserts if a carried payload type does not implement clone_detached().
-Packet detach_packet_copy(const Packet& src);
 
 }  // namespace inband

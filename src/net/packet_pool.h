@@ -2,19 +2,18 @@
 //
 // The data plane's unit of work is a PacketBatch of PacketRef handles drawn
 // from a slab PacketPool — BESS's PacketBatch/snb pool structure, recycled
-// the way PR 4's event queue recycles callback slots. A Packet is ~140 bytes;
-// moving it by value through every virtual send/deliver hop was the dominant
-// memcpy of the simulated fabric. A PacketRef is two words: producers fill
-// the pooled slot once, every later layer (network, fault interceptor, link,
-// sink) passes the handle.
+// the way the event queue recycles callback slots. A Packet is 168 bytes,
+// its messages included; moving it by value through every virtual
+// send/deliver hop was the dominant memcpy of the simulated fabric. A
+// PacketRef is two words: producers fill the pooled slot once, every later
+// layer (network, fault interceptor, link, sink) passes the handle.
 //
 // Lifetime: slots never move (chunked slabs), and the pool's internal state
 // is kept alive by outstanding refs. Delivery events holding PacketRefs may
 // outlive the Network that owns the pool (ClusterRig destroys the simulator
 // last); a ref released after the pool's destruction frees the orphaned
-// state when the last one goes. Same orphan-safe shape as util/shared_pool.h,
-// but with an intrusive count instead of shared_ptr so acquire/release touch
-// no refcounted control blocks.
+// state when the last one goes. The count is intrusive, so acquire/release
+// touch no refcounted control blocks.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +71,7 @@ class PacketPool {
     void grow();
 
     INBAND_HOT void release(Packet* pkt) {
-      pkt->msgs.clear();  // drop payload refs at release, not at reuse
+      pkt->msgs.clear();  // free a spilled message array at release
       // hotlint:allow(hot-growth): capacity reserved in grow(), never exceeded
       free_list.push_back(pkt);
       ++stats.released;

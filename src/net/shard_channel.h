@@ -13,10 +13,7 @@
 //     is FIFO in delivery order, so the head is always the channel minimum.
 //   * announce(frontier) raises the horizon word to frontier + L (monotone),
 //     *after* any pushes from the same slice — release order matters and is
-//     provided by the atomic store. It also reclaims consumed slots:
-//     producer-side destruction, because the payloads hold shard-local
-//     resources (pooled shared_ptrs) whose teardown must stay on the owning
-//     thread (util/spsc_queue.h).
+//     provided by the atomic store.
 //
 // Consumer side (destination shard's worker):
 //   * lower_bound() is the conservative bound: the head's deliver time when
@@ -25,14 +22,16 @@
 //     guarantees that if the load observed announce(F), every push before
 //     that announce is visible to the peek, so an empty queue really means
 //     "nothing below the horizon".
-//   * take_detached() deep-copies the head packet with fresh message
-//     ownership (AppPayload::clone_detached) and consumes the slot. The
-//     consumer never copies or destroys the producer's shared_ptrs.
+//   * take() moves the head packet out and consumes the slot. A Packet is
+//     plain data (net/packet.h), so the destination shard owns what it
+//     takes; the queue frees consumed chunks on the consumer side
+//     (util/spsc_queue.h).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "net/packet.h"
 #include "util/assert.h"
@@ -85,10 +84,9 @@ class ShardChannel {
     if (h > horizon_.load(std::memory_order_relaxed)) {
       horizon_.store(h, std::memory_order_release);
     }
-    q_.reclaim();
   }
 
-  std::uint64_t pushed() const { return q_.pushed(); }
+  std::uint64_t pushed() const { return q_.pushed(); }  // producer only
 
   // --- consumer side (destination shard) ---
 
@@ -102,12 +100,17 @@ class ShardChannel {
 
   const CrossPacket* peek() { return q_.peek(); }
 
-  // Detached deep copy of the head packet (fresh message ownership; see
-  // net/packet.h detach_packet_copy); consumes the slot. The producer-owned
-  // original is destroyed later, by the producer, in announce()'s reclaim.
-  Packet take_detached(SimTime* deliver_at, Ipv4* from, Ipv4* to);
+  // Moves the head packet out and consumes its slot. The channel must not be
+  // empty (peek() first).
+  CrossPacket take() {
+    CrossPacket* head = q_.peek();
+    INBAND_ASSERT(head != nullptr, "take on empty channel");
+    CrossPacket out = std::move(*head);
+    q_.consume();
+    return out;
+  }
 
-  std::uint64_t consumed_count() const { return q_.consumed(); }
+  std::uint64_t consumed_count() const { return q_.consumed(); }  // consumer
 
  private:
   const std::uint32_t id_;

@@ -147,15 +147,12 @@ class ShardExecutor : public ShardProgram, public RemoteEgress {
   }
 
   void deliver(ShardChannel& ch) {
-    SimTime at = kNoTime;
-    Ipv4 from = 0;
-    Ipv4 to = 0;
-    Packet pkt = ch.take_detached(&at, &from, &to);
-    rig_.sim().advance_to(at);
-    Host* dst = rig_.net().host_at(to);
+    CrossPacket cp = ch.take();
+    rig_.sim().advance_to(cp.deliver_at);
+    Host* dst = rig_.net().host_at(cp.to);
     INBAND_ASSERT(dst != nullptr, "cross-shard packet for an unknown host");
     PacketRef ref = rig_.net().pool().acquire();
-    *ref = std::move(pkt);
+    *ref = std::move(cp.pkt);
     PacketBatch batch;
     batch.push(std::move(ref));
     dst->handle_batch(std::move(batch));

@@ -65,17 +65,20 @@ class StateDigest;
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
-// Move-only type-erased nullary callable with a small-buffer optimization
-// sized for the queue's dominant payload (a link-delivery lambda carrying a
-// Packet by value). Unlike std::function it never allocates for captures up
-// to kInlineBytes and never copies the target.
+// Move-only type-erased nullary callable with a small-buffer optimization.
+// Unlike std::function it never allocates for captures up to kInlineBytes
+// and never copies the target.
 INBAND_SHARD_LOCAL(owner)
 class EventCallback {
  public:
-  // Inline capture budget. Chosen so the largest hot-path lambda (Packet by
-  // value plus three pointers — Network::transmit_held's release) fits;
-  // measured in tests/test_sim.cc. Packet carries a MsgList with two inline
-  // MessageRefs, which is what sets its 136-byte size.
+  // Inline capture budget. The per-packet and per-request callbacks are far
+  // smaller and static_assert fits_inline: link delivery and the network's
+  // held release carry a pooled PacketRef plus pointers (net/link.cc,
+  // net/network.cc), and the KV server's service completion carries its
+  // request by value (app/kv_server.cc, 48 bytes). The budget still holds a
+  // 136-byte packet image plus a pointer, the payload that the event-queue
+  // zero-alloc tests (tests/test_alloc.cc) and micro_dataplane's
+  // comparison with the legacy queue are built around.
   static constexpr std::size_t kInlineBytes = 160;
 
   EventCallback() = default;

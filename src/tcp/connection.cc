@@ -111,10 +111,10 @@ void TcpConnection::open() {
   arm_retx();
 }
 
-void TcpConnection::send_message(std::shared_ptr<const AppPayload> payload,
+void TcpConnection::send_message(const KvMessage& msg,
                                  std::uint32_t wire_bytes) {
   INBAND_ASSERT(!close_requested_, "send after close()");
-  send_buf_.append_message(std::move(payload), wire_bytes);
+  send_buf_.append_message(msg, wire_bytes);
   try_send();
 }
 
@@ -307,7 +307,7 @@ void TcpConnection::handle_data(const Packet& pkt) {
   // segment piggybacks the ACK, which is the dominant causally-triggered
   // transmission in request/response traffic.
   for (const auto& m : d.messages) {
-    if (cb_.on_message) cb_.on_message(*this, m.payload);
+    if (cb_.on_message) cb_.on_message(*this, m.msg);
     if (state_ == TcpState::kClosed) return;
   }
   if (d.bytes > 0 && cb_.on_data) {

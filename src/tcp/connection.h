@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "net/packet.h"
 #include "net/packet_pool.h"
@@ -56,8 +55,7 @@ class TcpConnection {
   struct Callbacks {
     std::function<void(TcpConnection&)> on_established;
     // One application message delivered in order.
-    std::function<void(TcpConnection&, std::shared_ptr<const AppPayload>)>
-        on_message;
+    std::function<void(TcpConnection&, const KvMessage&)> on_message;
     // In-order payload bytes delivered (fires alongside on_message).
     std::function<void(TcpConnection&, std::uint64_t)> on_data;
     // Peer sent FIN (half-close); local side may still send.
@@ -80,8 +78,7 @@ class TcpConnection {
   void open();
 
   // Queues one application message of `wire_bytes` for transmission.
-  void send_message(std::shared_ptr<const AppPayload> payload,
-                    std::uint32_t wire_bytes);
+  void send_message(const KvMessage& msg, std::uint32_t wire_bytes);
 
   // Queues `n` bulk bytes (no message boundary).
   void send_bytes(std::uint64_t n);

@@ -6,11 +6,11 @@
 
 namespace inband {
 
-void SendBuffer::append_message(std::shared_ptr<const AppPayload> payload,
+void SendBuffer::append_message(const KvMessage& msg,
                                 std::uint32_t wire_bytes) {
   INBAND_ASSERT(wire_bytes > 0, "empty message");
   end_ += wire_bytes;
-  msgs_.push({end_, std::move(payload)});
+  msgs_.push({end_, msg});
 }
 
 MsgList SendBuffer::messages_in(std::uint64_t range_start,

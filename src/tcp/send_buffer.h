@@ -2,13 +2,12 @@
 //
 // Tracks the application byte stream in absolute stream offsets (0 == ISN,
 // so the first app byte is offset 1, after the SYN). Payload *content* is
-// just a byte count; application message objects are retained with the
-// stream offset at which they end so that (re)transmitted segments can carry
-// the right MessageRefs until the data is acknowledged.
+// just a byte count; application messages are retained with the stream
+// offset at which they end so that (re)transmitted segments can carry the
+// right MessageRefs until the data is acknowledged.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "net/packet.h"
 #include "util/ring_buffer.h"
@@ -26,8 +25,7 @@ class SendBuffer {
   void append_bytes(std::uint64_t n) { end_ += n; }
 
   // Appends one application message occupying `wire_bytes` bytes.
-  void append_message(std::shared_ptr<const AppPayload> payload,
-                      std::uint32_t wire_bytes);
+  void append_message(const KvMessage& msg, std::uint32_t wire_bytes);
 
   // One past the last queued byte (absolute stream offset).
   std::uint64_t end() const { return end_; }

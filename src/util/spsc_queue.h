@@ -1,37 +1,30 @@
-// Unbounded single-producer / single-consumer queue with producer-side
-// reclamation.
+// Unbounded single-producer / single-consumer queue.
 //
-// The transport under the cross-shard channels in sim/parallel.h. Two
-// properties drive the design, both dictated by the conservative-lookahead
-// protocol rather than by raw throughput:
+// The transport under the cross-shard channels in sim/parallel.h. It is
+// unbounded because the conservative-lookahead protocol demands it rather
+// than for raw throughput: a bounded ring would make push() block when
+// full, and a producer blocked on a consumer that is itself conservatively
+// blocked on the producer's horizon is a deadlock cycle. Capacity grows in
+// chunks of kChunkCap slots appended to a singly-linked list.
 //
-//  * Unbounded. A bounded ring would make push() block when full, and a
-//    producer blocked on a consumer that is itself conservatively blocked on
-//    the producer's horizon is a deadlock cycle. Capacity grows in chunks of
-//    kChunkCap slots appended to a singly-linked list; steady state recycles
-//    nothing across threads.
-//
-//  * Producer-side reclamation. Slots are destroyed (assigned T{}) by the
-//    PRODUCER, after the consumer publishes how far it has read. The payload
-//    types crossing shards hold shard-local resources (SharedPool-backed
-//    shared_ptrs whose deleters touch a free list owned by the producing
-//    shard); destroying them on the consumer thread would race. The consumer
-//    only ever reads a slot and bumps an atomic counter — it never runs a
-//    destructor of a producer-owned value. Consumers that need to keep data
-//    must deep-copy out of the slot (see ShardChannel::pop).
+// Values are plain data, so the consumer owns what it reads: it may move a
+// value out of its slot (see ShardChannel::take), and it frees each chunk
+// once it has read past the chunk's last slot. By then the producer has
+// linked the next chunk and never touches the old one again.
 //
 // Memory ordering: the producer publishes a slot by storing the chunk's
-// `filled` count with release after writing the slot; the consumer loads it
-// with acquire before reading. Symmetrically the consumer publishes
-// `consumed_` with release and the producer reclaims after an acquire load.
-// No other synchronization exists — exactly one thread may call the producer
-// methods and one (possibly different) thread the consumer methods.
+// `filled` count with release after writing the slot, and publishes a new
+// chunk by storing `next` with release after its last access to the old
+// chunk; the consumer loads both with acquire before reading or freeing.
+// No other synchronization exists — exactly one thread may call the
+// producer methods and one (possibly different) thread the consumer
+// methods.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <utility>
 
-#include "util/assert.h"
 #include "util/shard.h"
 
 namespace inband {
@@ -42,15 +35,12 @@ class SpscQueue {
  public:
   static constexpr std::uint32_t kChunkCap = 64;
 
-  SpscQueue() {
-    Chunk* c = new Chunk;
-    head_ = tail_ = reclaim_ = c;
-  }
+  SpscQueue() { head_ = tail_ = new Chunk; }
   SpscQueue(const SpscQueue&) = delete;
   SpscQueue& operator=(const SpscQueue&) = delete;
   ~SpscQueue() {
     // Single-threaded by the time a queue dies (the runner has joined).
-    Chunk* c = reclaim_;
+    Chunk* c = head_;
     while (c != nullptr) {
       Chunk* next = c->next.load(std::memory_order_relaxed);
       delete c;
@@ -68,7 +58,8 @@ class SpscQueue {
       Chunk* fresh = new Chunk;
       fresh->base = t->base + kChunkCap;
       tail_ = fresh;
-      // Publish the link after the chunk is fully constructed.
+      // Publish the link after the chunk is fully constructed. The producer
+      // never touches `t` again: the consumer frees it.
       t->next.store(fresh, std::memory_order_release);
       t = fresh;
     }
@@ -78,55 +69,32 @@ class SpscQueue {
     ++pushed_;
   }
 
-  // Destroys every slot the consumer has finished with and frees chunks that
-  // are fully reclaimed. Producer thread only; call at any convenient rate
-  // (the channel calls it on every horizon announcement).
-  void reclaim() {
-    const std::uint64_t consumed = consumed_.load(std::memory_order_acquire);
-    while (reclaimed_ < consumed) {
-      Chunk* c = reclaim_;
-      const std::uint32_t i = static_cast<std::uint32_t>(reclaimed_ - c->base);
-      if (i == kChunkCap) {
-        Chunk* next = c->next.load(std::memory_order_relaxed);
-        INBAND_ASSERT(next != nullptr, "reclaim ran past the chunk chain");
-        reclaim_ = next;
-        delete c;
-        continue;
-      }
-      c->slots[i] = T{};  // producer-side destruction of the value
-      ++reclaimed_;
-    }
-  }
-
   std::uint64_t pushed() const { return pushed_; }  // producer thread only
 
   // --- consumer side ---
 
-  // Borrowed pointer to the next unconsumed value, or nullptr when none is
-  // visible. Valid until consume(); the consumer must not destroy it.
-  const T* peek() {
+  // The next unconsumed value, or nullptr when none is visible. Valid until
+  // consume(); the consumer may move from it.
+  T* peek() {
     Chunk* c = head_;
-    const std::uint32_t i = static_cast<std::uint32_t>(next_read_ - c->base);
+    const std::uint32_t i = static_cast<std::uint32_t>(consumed_ - c->base);
     if (i == kChunkCap) {
       Chunk* next = c->next.load(std::memory_order_acquire);
       if (next == nullptr) return nullptr;
-      head_ = c = next;
+      head_ = next;
+      // hotlint:allow(hot-alloc): one chunk freed per kChunkCap takes, cross-shard trunk rate only
+      delete c;
       return peek();
     }
     if (i >= c->filled.load(std::memory_order_acquire)) return nullptr;
     return &c->slots[i];
   }
 
-  // Marks the current peek()ed value consumed and publishes that fact to the
-  // producer for reclamation. Must follow a successful peek().
-  void consume() {
-    ++next_read_;
-    consumed_.store(next_read_, std::memory_order_release);
-  }
+  // Marks the current peek()ed value consumed. Must follow a successful
+  // peek().
+  void consume() { ++consumed_; }
 
-  std::uint64_t consumed() const {  // either thread; approximate for producer
-    return consumed_.load(std::memory_order_acquire);
-  }
+  std::uint64_t consumed() const { return consumed_; }  // consumer thread only
 
  private:
   struct Chunk {
@@ -137,17 +105,12 @@ class SpscQueue {
   };
 
   // Producer-owned.
-  Chunk* tail_ = nullptr;    // chunk being filled
-  Chunk* reclaim_ = nullptr; // oldest chunk with undestroyed slots
+  Chunk* tail_ = nullptr;  // chunk being filled
   std::uint64_t pushed_ = 0;
-  std::uint64_t reclaimed_ = 0;
 
   // Consumer-owned.
-  Chunk* head_ = nullptr;      // chunk being read
-  std::uint64_t next_read_ = 0;
-
-  // Consumer -> producer watermark.
-  std::atomic<std::uint64_t> consumed_{0};
+  Chunk* head_ = nullptr;  // chunk being read
+  std::uint64_t consumed_ = 0;
 };
 
 }  // namespace inband

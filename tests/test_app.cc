@@ -40,13 +40,14 @@ TEST(KvProtocol, ResponseEchoesRequestFields) {
   req.key = 1234;
   req.op = KvOp::kGet;
   req.created_at = us(55);
-  const auto resp = make_kv_response(req, true, 512);
-  EXPECT_EQ(resp->kind, KvKind::kResponse);
-  EXPECT_EQ(resp->id, 99u);
-  EXPECT_EQ(resp->key, 1234u);
-  EXPECT_TRUE(resp->hit);
-  EXPECT_EQ(resp->value_len, 512u);
-  EXPECT_EQ(resp->created_at, us(55));
+  const KvMessage resp = kv_response(req, true, 512);
+  EXPECT_EQ(resp.kind, KvKind::kResponse);
+  EXPECT_EQ(resp.op, KvOp::kGet);
+  EXPECT_EQ(resp.id, 99u);
+  EXPECT_EQ(resp.key, 1234u);
+  EXPECT_TRUE(resp.hit);
+  EXPECT_EQ(resp.value_len, 512u);
+  EXPECT_EQ(resp.created_at, us(55));
 }
 
 // --- variability injectors ---

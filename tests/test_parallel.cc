@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "app/message.h"
 #include "dataplane_rig.h"
 #include "fault/fault_plan.h"
 #include "net/shard_channel.h"
@@ -41,7 +40,6 @@ TEST(SpscQueue, FifoAcrossChunkBoundaries) {
       q.consume();
       ++next_expected;
     }
-    if (i % 128 == 0) q.reclaim();
   }
   while (next_expected < n) {
     const int* head = q.peek();
@@ -51,14 +49,13 @@ TEST(SpscQueue, FifoAcrossChunkBoundaries) {
     ++next_expected;
   }
   EXPECT_EQ(q.peek(), nullptr);
-  q.reclaim();
   EXPECT_EQ(q.pushed(), static_cast<std::uint64_t>(n));
   EXPECT_EQ(q.consumed(), static_cast<std::uint64_t>(n));
 }
 
-TEST(SpscQueue, ExactChunkMultipleDrainAndReclaim) {
-  // Push exactly k * kChunkCap, consume everything, reclaim everything:
-  // the reclaim walk must stop cleanly at the chain's end.
+TEST(SpscQueue, ExactChunkMultipleDrainThenPush) {
+  // Push exactly k * kChunkCap and consume everything: the consumer sits at
+  // the end of the last chunk, with no next chunk to move to yet.
   SpscQueue<int> q;
   const int n = static_cast<int>(SpscQueue<int>::kChunkCap) * 3;
   for (int i = 0; i < n; ++i) q.push(i);
@@ -68,7 +65,6 @@ TEST(SpscQueue, ExactChunkMultipleDrainAndReclaim) {
     EXPECT_EQ(*head, i);
     q.consume();
   }
-  q.reclaim();
   EXPECT_EQ(q.peek(), nullptr);
   // The queue must keep working after a full drain.
   q.push(7777);
@@ -76,7 +72,7 @@ TEST(SpscQueue, ExactChunkMultipleDrainAndReclaim) {
   ASSERT_NE(head, nullptr);
   EXPECT_EQ(*head, 7777);
   q.consume();
-  q.reclaim();
+  EXPECT_EQ(q.peek(), nullptr);
 }
 
 TEST(SpscQueue, TwoThreadStressKeepsOrder) {
@@ -84,10 +80,7 @@ TEST(SpscQueue, TwoThreadStressKeepsOrder) {
   SpscQueue<std::uint64_t> q;
   constexpr std::uint64_t kCount = 200'000;
   std::thread producer{[&q] {
-    for (std::uint64_t i = 0; i < kCount; ++i) {
-      q.push(i);
-      if (i % 512 == 0) q.reclaim();
-    }
+    for (std::uint64_t i = 0; i < kCount; ++i) q.push(i);
   }};
   std::uint64_t expected = 0;
   while (expected < kCount) {
@@ -101,7 +94,6 @@ TEST(SpscQueue, TwoThreadStressKeepsOrder) {
     ++expected;
   }
   producer.join();
-  q.reclaim();
   EXPECT_EQ(q.pushed(), kCount);
   EXPECT_EQ(q.consumed(), kCount);
 }
@@ -112,11 +104,11 @@ Packet make_kv_packet(std::uint64_t msg_id) {
   Packet p;
   p.seq = 42;
   p.payload_len = 100;
-  auto msg = std::make_shared<KvMessage>();
-  msg->id = msg_id;
-  msg->op = KvOp::kSet;
-  msg->value_len = 64;
-  p.msgs.push_msg(MessageRef{100, std::move(msg)});
+  KvMessage msg;
+  msg.id = msg_id;
+  msg.op = KvOp::kSet;
+  msg.value_len = 64;
+  p.msgs.push_msg(MessageRef{100, msg});
   return p;
 }
 
@@ -139,38 +131,77 @@ TEST(ShardChannel, HeadDeliveryTimeBeatsHorizon) {
   ASSERT_NE(ch.peek(), nullptr);
   EXPECT_EQ(ch.peek()->deliver_at, us(300));
 
-  SimTime at = 0;
-  Ipv4 from = 0;
-  Ipv4 to = 0;
-  const Packet got = ch.take_detached(&at, &from, &to);
-  EXPECT_EQ(at, us(300));
-  EXPECT_EQ(from, 1u);
-  EXPECT_EQ(to, 2u);
-  EXPECT_EQ(got.seq, 42u);
+  const CrossPacket got = ch.take();
+  EXPECT_EQ(got.deliver_at, us(300));
+  EXPECT_EQ(got.from, 1u);
+  EXPECT_EQ(got.to, 2u);
+  EXPECT_EQ(got.pkt.seq, 42u);
   // Empty again: back to the announced horizon.
   EXPECT_EQ(ch.lower_bound(), us(300));
   EXPECT_EQ(ch.pushed(), 1u);
   EXPECT_EQ(ch.consumed_count(), 1u);
 }
 
-TEST(ShardChannel, TakeDetachedDeepCopiesMessagePayloads) {
+TEST(ShardChannel, TakeCarriesMessageFields) {
   ShardChannel ch{2, us(10)};
-  Packet original = make_kv_packet(1234);
-  const AppPayload* original_payload = original.msgs.begin()->payload.get();
-  ch.push(us(5), 1, 2, original);
+  ch.push(us(5), 1, 2, make_kv_packet(1234));
+  const CrossPacket got = ch.take();
+  ASSERT_EQ(static_cast<int>(got.pkt.msgs.size()), 1);
+  const MessageRef& m = got.pkt.msgs.front();
+  EXPECT_EQ(m.end_offset, 100u);
+  EXPECT_EQ(m.msg.id, 1234u);
+  EXPECT_EQ(m.msg.op, KvOp::kSet);
+  EXPECT_EQ(m.msg.value_len, 64u);
+}
 
-  SimTime at = 0;
-  Ipv4 from = 0;
-  Ipv4 to = 0;
-  const Packet got = ch.take_detached(&at, &from, &to);
-  ASSERT_EQ(static_cast<int>(got.msgs.size()), 1);
-  const auto* kv = dynamic_cast<const KvMessage*>(got.msgs.begin()->payload.get());
-  ASSERT_NE(kv, nullptr);
-  EXPECT_EQ(kv->id, 1234u);
-  EXPECT_EQ(kv->op, KvOp::kSet);
-  // Fresh ownership: the detached copy must not alias the producer's payload.
-  EXPECT_NE(got.msgs.begin()->payload.get(), original_payload);
-  ch.announce(us(100));  // reclaims the consumed slot, producer-side
+TEST(ShardChannel, TwoThreadTakeKeepsEveryMessageInOrder) {
+  // Packets carry 0-5 messages, so those with 3 or more spill their MsgList
+  // to a heap array on the producer's thread. The consumer moves each packet
+  // out, frees it and every chunk it has read past on its own thread; TSan
+  // vets that hand-off.
+  constexpr SimTime kLatency = us(10);
+  constexpr std::uint64_t kPackets = 20'000;
+  const auto count_in = [](std::uint64_t i) { return i % 6; };
+  const auto end_offset = [](std::uint64_t i, std::uint64_t k) {
+    return i * 8 + k + 1;
+  };
+  ShardChannel ch{3, kLatency};
+  std::thread producer{[&] {
+    std::uint64_t next_id = 0;
+    for (std::uint64_t i = 0; i < kPackets; ++i) {
+      Packet p;
+      p.pkt_id = i;
+      for (std::uint64_t k = 0; k < count_in(i); ++k) {
+        KvMessage msg;
+        msg.id = next_id++;
+        p.msgs.push_msg(MessageRef{end_offset(i, k), msg});
+      }
+      ch.push(static_cast<SimTime>(i), 1, 2, p);
+      if (i % 64 == 0) ch.announce(static_cast<SimTime>(i));
+    }
+  }};
+  std::uint64_t mismatches = 0;
+  std::uint64_t expected_id = 0;
+  for (std::uint64_t i = 0; i < kPackets;) {
+    if (ch.peek() == nullptr) {
+      std::this_thread::yield();
+      continue;
+    }
+    const CrossPacket got = ch.take();
+    bool ok = got.pkt.pkt_id == i &&
+              got.deliver_at == static_cast<SimTime>(i) + kLatency &&
+              got.pkt.msgs.size() == count_in(i);
+    for (std::uint64_t k = 0; ok && k < count_in(i); ++k) {
+      ok = got.pkt.msgs[k].end_offset == end_offset(i, k) &&
+           got.pkt.msgs[k].msg.id == expected_id++;
+    }
+    if (!ok) ++mismatches;
+    ++i;
+  }
+  producer.join();
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(ch.pushed(), kPackets);
+  EXPECT_EQ(ch.consumed_count(), kPackets);
 }
 
 // ----------------------------------------------------------- run_shard_programs

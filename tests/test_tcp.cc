@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "net/trace.h"
@@ -20,10 +20,12 @@ constexpr Ipv4 kA = make_ipv4(10, 0, 0, 1);
 constexpr Ipv4 kB = make_ipv4(10, 0, 0, 2);
 constexpr std::uint16_t kPort = 7000;
 
-struct TestPayload final : AppPayload {
-  explicit TestPayload(int t) : tag{t} {}
-  int tag;
-};
+// A message whose id carries a test tag.
+KvMessage tagged(int tag) {
+  KvMessage m;
+  m.id = static_cast<std::uint64_t>(tag);
+  return m;
+}
 
 // Test-only adapter: a PacketObserver that forwards to a lambda.
 struct CallbackObserver final : PacketObserver {
@@ -90,8 +92,8 @@ TEST(Seq, UnwrapDetectsOldDuplicate) {
 TEST(SendBuffer, TracksOffsetsAndMessages) {
   SendBuffer sb;
   EXPECT_EQ(sb.end(), 1u);  // first app byte after SYN
-  sb.append_message(std::make_shared<TestPayload>(1), 100);
-  sb.append_message(std::make_shared<TestPayload>(2), 50);
+  sb.append_message(tagged(1), 100);
+  sb.append_message(tagged(2), 50);
   EXPECT_EQ(sb.end(), 151u);
   const auto msgs = sb.messages_in(1, 101);
   ASSERT_EQ(msgs.size(), 1u);
@@ -109,8 +111,8 @@ TEST(SendBuffer, TracksOffsetsAndMessages) {
 // these tests pin every boundary case so it cannot regress silently.
 TEST(SendBuffer, MessagesInExactBoundarySemantics) {
   SendBuffer sb;
-  sb.append_message(std::make_shared<TestPayload>(1), 100);  // ends at 101
-  sb.append_message(std::make_shared<TestPayload>(2), 50);   // ends at 151
+  sb.append_message(tagged(1), 100);  // ends at 101
+  sb.append_message(tagged(2), 50);   // ends at 151
   // A message ending exactly at range_end belongs to that segment...
   const auto first = sb.messages_in(1, 101);
   ASSERT_EQ(first.size(), 1u);
@@ -144,7 +146,7 @@ TEST(SendBuffer, MessagesInPartitionUnderArbitrarySegmentation) {
     const int messages = static_cast<int>(rng.uniform_u64(1, 12));
     for (int m = 0; m < messages; ++m) {
       const auto wire = static_cast<std::uint32_t>(rng.uniform_u64(1, 7));
-      sb.append_message(std::make_shared<TestPayload>(m), wire);
+      sb.append_message(tagged(m), wire);
       ends.push_back(sb.end());
     }
     // Random cut points over [1, end], half of them snapped onto a message
@@ -176,8 +178,8 @@ TEST(SendBuffer, MessagesInPartitionUnderArbitrarySegmentation) {
 
 TEST(SendBuffer, ReleaseAckedDropsCoveredMessages) {
   SendBuffer sb;
-  sb.append_message(std::make_shared<TestPayload>(1), 10);
-  sb.append_message(std::make_shared<TestPayload>(2), 10);
+  sb.append_message(tagged(1), 10);
+  sb.append_message(tagged(2), 10);
   sb.release_acked(11);
   EXPECT_EQ(sb.pending_messages(), 1u);
   sb.release_acked(21);
@@ -186,7 +188,7 @@ TEST(SendBuffer, ReleaseAckedDropsCoveredMessages) {
 
 TEST(RecvBuffer, InOrderDelivery) {
   RecvBuffer rb;
-  MsgList msgs{{51, std::make_shared<TestPayload>(7)}};
+  MsgList msgs{{51, tagged(7)}};
   const auto d = rb.on_segment(1, 51, msgs);
   EXPECT_EQ(d.bytes, 50u);
   ASSERT_EQ(d.messages.size(), 1u);
@@ -216,7 +218,7 @@ TEST(RecvBuffer, DuplicateDetected) {
 
 TEST(RecvBuffer, OverlappingRetransmissionDeliversOnce) {
   RecvBuffer rb;
-  auto payload = std::make_shared<TestPayload>(9);
+  auto payload = tagged(9);
   MsgList msgs{{41, payload}};
   rb.on_segment(21, 41, msgs);                    // ooo
   const auto d = rb.on_segment(1, 41, msgs);      // covers both
@@ -226,7 +228,7 @@ TEST(RecvBuffer, OverlappingRetransmissionDeliversOnce) {
 
 TEST(RecvBuffer, MessageDeliveredOnlyWhenComplete) {
   RecvBuffer rb;
-  auto payload = std::make_shared<TestPayload>(3);
+  auto payload = tagged(3);
   // Message ends at 101; first segment covers only [1, 51).
   auto d1 = rb.on_segment(1, 51, {{101, payload}});
   EXPECT_EQ(d1.messages.size(), 0u);
@@ -315,7 +317,7 @@ struct EchoServer {
   explicit EchoServer(TcpHost& host, std::uint16_t port) {
     host.stack().listen(port, [this](TcpConnection& c) {
       c.callbacks().on_message = [this](TcpConnection& conn,
-                                        std::shared_ptr<const AppPayload> p) {
+                                        const KvMessage& p) {
         ++received;
         conn.send_message(p, 100);  // echo back, fixed size
       };
@@ -329,17 +331,22 @@ TEST(TcpData, MessageRoundTripPreservesIdentity) {
   TcpRig rig;
   EchoServer server{rig.b, kPort};
   auto* client = rig.a.stack().connect({kB, kPort});
-  std::shared_ptr<const AppPayload> got;
-  auto sent = std::make_shared<TestPayload>(42);
+  std::optional<KvMessage> got;
+  KvMessage sent = tagged(42);
+  sent.key = 7;
+  sent.value_len = 64;
   client->callbacks().on_established = [&](TcpConnection& c) {
     c.send_message(sent, 200);
   };
-  client->callbacks().on_message =
-      [&](TcpConnection&, std::shared_ptr<const AppPayload> p) { got = p; };
+  client->callbacks().on_message = [&](TcpConnection&, const KvMessage& m) {
+    got = m;
+  };
   client->open();
   rig.sim.run_until(ms(10));
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ(std::dynamic_pointer_cast<const TestPayload>(got)->tag, 42);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->id, 42u);
+  EXPECT_EQ(got->key, 7u);
+  EXPECT_EQ(got->value_len, 64u);
   EXPECT_EQ(server.received, 1);
 }
 
@@ -349,7 +356,7 @@ TEST(TcpData, LargeMessageSegmentsAndReassembles) {
   std::uint64_t bytes = 0;
   rig.b.stack().listen(kPort, [&](TcpConnection& c) {
     c.callbacks().on_message = [&](TcpConnection&,
-                                   std::shared_ptr<const AppPayload>) {
+                                   const KvMessage&) {
       ++delivered;
     };
     c.callbacks().on_data = [&](TcpConnection&, std::uint64_t n) {
@@ -358,7 +365,7 @@ TEST(TcpData, LargeMessageSegmentsAndReassembles) {
   });
   auto* client = rig.a.stack().connect({kB, kPort});
   client->callbacks().on_established = [&](TcpConnection& c) {
-    c.send_message(std::make_shared<TestPayload>(1), 10'000);  // ~7 segments
+    c.send_message(tagged(1), 10'000);  // ~7 segments
   };
   client->open();
   rig.sim.run_until(ms(50));
@@ -372,14 +379,14 @@ TEST(TcpData, PipelinedMessagesDeliverInOrder) {
   std::vector<int> tags;
   rig.b.stack().listen(kPort, [&](TcpConnection& c) {
     c.callbacks().on_message = [&](TcpConnection&,
-                                   std::shared_ptr<const AppPayload> p) {
-      tags.push_back(std::dynamic_pointer_cast<const TestPayload>(p)->tag);
+                                   const KvMessage& p) {
+      tags.push_back(static_cast<int>(p.id));
     };
   });
   auto* client = rig.a.stack().connect({kB, kPort});
   client->callbacks().on_established = [&](TcpConnection& c) {
     for (int i = 0; i < 20; ++i) {
-      c.send_message(std::make_shared<TestPayload>(i), 500);
+      c.send_message(tagged(i), 500);
     }
   };
   client->open();
@@ -556,14 +563,14 @@ TEST(TcpLoss, MessagesSurviveRetransmission) {
   std::vector<int> tags;
   rig.b.stack().listen(kPort, [&](TcpConnection& c) {
     c.callbacks().on_message = [&](TcpConnection&,
-                                   std::shared_ptr<const AppPayload> p) {
-      tags.push_back(std::dynamic_pointer_cast<const TestPayload>(p)->tag);
+                                   const KvMessage& p) {
+      tags.push_back(static_cast<int>(p.id));
     };
   });
   auto* client = rig.a.stack().connect({kB, kPort}, cfg);
   client->callbacks().on_established = [&](TcpConnection& c) {
     for (int i = 0; i < 100; ++i) {
-      c.send_message(std::make_shared<TestPayload>(i), 1448);
+      c.send_message(tagged(i), 1448);
     }
   };
   client->open();
@@ -639,10 +646,10 @@ TEST(TcpClose, ChurnReusesStack) {
     auto* c = rig.a.stack().connect({kB, kPort});
     ports.push_back(c->local().port);
     c->callbacks().on_established = [](TcpConnection& conn) {
-      conn.send_message(std::make_shared<TestPayload>(0), 100);
+      conn.send_message(tagged(0), 100);
     };
     c->callbacks().on_message = [](TcpConnection& conn,
-                                   std::shared_ptr<const AppPayload>) {
+                                   const KvMessage&) {
       conn.close();
     };
     c->callbacks().on_closed = [&](TcpConnection&, bool) {
@@ -785,14 +792,14 @@ TEST_P(TcpLossSweep, ExactlyOnceInOrderDelivery) {
   std::vector<int> tags;
   rig.b.stack().listen(kPort, [&](TcpConnection& c) {
     c.callbacks().on_message = [&](TcpConnection&,
-                                   std::shared_ptr<const AppPayload> p) {
-      tags.push_back(std::dynamic_pointer_cast<const TestPayload>(p)->tag);
+                                   const KvMessage& p) {
+      tags.push_back(static_cast<int>(p.id));
     };
   });
   auto* client = rig.a.stack().connect({kB, kPort}, cfg);
   client->callbacks().on_established = [&](TcpConnection& c) {
     for (int i = 0; i < 60; ++i) {
-      c.send_message(std::make_shared<TestPayload>(i), 1448);
+      c.send_message(tagged(i), 1448);
     }
   };
   client->open();
@@ -849,7 +856,7 @@ TEST_P(ReassemblyPermutation, AllOrdersDeliverFullStream) {
   for (int i = 0; i < GetParam(); ++i) std::next_permutation(perm.begin(), perm.end());
 
   RecvBuffer rb;
-  auto payload = std::make_shared<TestPayload>(5);
+  auto payload = tagged(5);
   std::uint64_t delivered = 0;
   std::size_t messages = 0;
   for (int idx : perm) {
@@ -985,12 +992,12 @@ TEST(TcpAck, ResponsesPiggybackAcks) {
   auto* client = rig.a.stack().connect({kB, kPort});
   int remaining = 50;
   client->callbacks().on_established = [](TcpConnection& c) {
-    c.send_message(std::make_shared<TestPayload>(0), 100);
+    c.send_message(tagged(0), 100);
   };
   client->callbacks().on_message = [&](TcpConnection& c,
-                                       std::shared_ptr<const AppPayload>) {
+                                       const KvMessage&) {
     if (--remaining > 0) {
-      c.send_message(std::make_shared<TestPayload>(remaining), 100);
+      c.send_message(tagged(remaining), 100);
     }
   };
   client->open();
