@@ -4,7 +4,6 @@
 
 #include "util/assert.h"
 #include "util/logging.h"
-#include "util/sorted_view.h"
 
 namespace inband {
 
@@ -30,19 +29,14 @@ void KvServer::add_injector(std::unique_ptr<VariabilityInjector> injector) {
 
 void KvServer::abort_all_connections() {
   queue_.clear();
-  // abort() triggers on_closed, which erases from open_conns_; iterate a
-  // snapshot. Sort it by flow key: the set is keyed on heap pointers, and
-  // the abort order fixes the order RSTs hit the wire — iterating in pointer
-  // order would make crash runs irreproducible.
-  const std::vector<TcpConnection*> conns = sorted_values(
-      open_conns_, [](const TcpConnection* a, const TcpConnection* b) {
-        return a->key() < b->key();
-      });
-  for (auto* conn : conns) conn->abort();
+  // abort() runs on_closed, which erases the entry; step past it first.
+  for (auto it = open_conns_.begin(); it != open_conns_.end();) {
+    (it++)->second->abort();
+  }
 }
 
 void KvServer::on_accept(TcpConnection& conn) {
-  open_conns_.insert(&conn);
+  open_conns_.emplace(conn.key(), &conn);
   conn.callbacks().on_message = [this](TcpConnection& c,
                                        const KvMessage& req) {
     INBAND_ASSERT(req.kind == KvKind::kRequest);
@@ -50,12 +44,12 @@ void KvServer::on_accept(TcpConnection& conn) {
   };
   conn.callbacks().on_peer_close = [](TcpConnection& c) { c.close(); };
   conn.callbacks().on_closed = [this](TcpConnection& c, bool /*reset*/) {
-    open_conns_.erase(&c);
+    open_conns_.erase(c.key());
   };
 }
 
 void KvServer::on_request(TcpConnection& conn, const KvMessage& request) {
-  const Pending work{&conn, request};
+  const Pending work{conn.key(), request};
   if (busy_workers_ < config_.workers) {
     start_processing(work);
   } else {
@@ -67,17 +61,14 @@ void KvServer::on_request(TcpConnection& conn, const KvMessage& request) {
 SimTime KvServer::service_time(const KvMessage& request) {
   const SimTime base =
       request.op == KvOp::kGet ? config_.get_base : config_.set_base;
-  const SimTime copy = request.op == KvOp::kSet
-                           ? config_.per_byte * request.value_len
-                           : 0;
-  SimTime svc = base + copy;
+  SimTime svc = base;
   if (config_.service_sigma > 0.0) {
     svc = static_cast<SimTime>(rng_.lognormal_median(
         static_cast<double>(svc), config_.service_sigma));
   }
   const SimTime now = host_.sim().now();
   for (auto& inj : injectors_) {
-    svc += inj->extra_service_time(now, base + copy);
+    svc += inj->extra_service_time(now, base);
   }
   return std::max<SimTime>(svc, 1);
 }
@@ -138,17 +129,17 @@ void KvServer::finish(const Pending& work) {
   ++requests_served_;
 
   // The connection may have died while the request was in service.
-  if (open_conns_.find(work.conn) != open_conns_.end() &&
-      work.conn->can_send()) {
+  const auto conn = open_conns_.find(work.flow);
+  if (conn != open_conns_.end() && conn->second->can_send()) {
     const KvMessage resp = kv_response(req, hit, value_len);
-    work.conn->send_message(resp, kv_response_wire_size(resp));
+    conn->second->send_message(resp, kv_response_wire_size(resp));
   }
 
   if (!queue_.empty() && busy_workers_ < config_.workers) {
     Pending next = queue_.front();
     queue_.pop();
     // Dead connections may sit in the queue; drop their work.
-    while (open_conns_.find(next.conn) == open_conns_.end()) {
+    while (open_conns_.find(next.flow) == open_conns_.end()) {
       if (queue_.empty()) return;
       next = queue_.front();
       queue_.pop();

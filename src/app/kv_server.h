@@ -3,9 +3,8 @@
 // Serves GET/SET over the TCP model with a bounded worker pool: up to
 // `workers` requests are processed concurrently; the rest queue FIFO, so
 // latency rises with load exactly the way a thread-per-worker cache does.
-// Per-request service time is
-//     base(op) + per_byte * value_len, jittered log-normally,
-// plus whatever the attached VariabilityInjectors contribute (§2.2).
+// Per-request service time is base(op), jittered log-normally, plus
+// whatever the attached VariabilityInjectors contribute (§2.2).
 //
 // Under direct server return the server answers straight to the client; in
 // the simulation that falls out naturally because responses are routed by
@@ -13,9 +12,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "app/message.h"
@@ -33,7 +32,6 @@ struct KvServerConfig {
   int workers = 4;
   SimTime get_base = us(15);
   SimTime set_base = us(20);
-  SimTime per_byte = 0;           // ns per value byte (copy cost)
   double service_sigma = 0.05;    // log-normal jitter of the base cost
   std::uint64_t seed = 1;
 };
@@ -57,9 +55,7 @@ class KvServer {
   std::uint64_t gets() const { return gets_; }
   std::uint64_t sets() const { return sets_; }
   std::uint64_t hits() const { return hits_; }
-  std::size_t queue_depth() const { return queue_.size(); }
   std::size_t max_queue_depth() const { return max_queue_depth_; }
-  int busy_workers() const { return busy_workers_; }
   std::size_t store_size() const { return store_.size(); }
   std::size_t open_connections() const { return open_conns_.size(); }
   // Integral of busy workers over time, for utilization reporting.
@@ -68,8 +64,11 @@ class KvServer {
   const KvServerConfig& config() const { return config_; }
 
  private:
+  // A request names its connection by flow key, never by address: a
+  // completion that outlives its connection must not find a new connection
+  // that took the reaped one's storage.
   struct Pending {
-    TcpConnection* conn;
+    FlowKey flow;
     KvMessage request;
   };
 
@@ -85,7 +84,9 @@ class KvServer {
   Rng rng_;
   std::vector<std::unique_ptr<VariabilityInjector>> injectors_;
   std::unordered_map<std::uint64_t, std::uint32_t> store_;  // key -> size
-  std::unordered_set<TcpConnection*> open_conns_;
+  // Ordered by flow key, so a crash resets connections in a reproducible
+  // order.
+  std::map<FlowKey, TcpConnection*> open_conns_;
   RingBuffer<Pending> queue_;  // overload FIFO, slots recycled in place
   int busy_workers_ = 0;
 
