@@ -5,6 +5,11 @@
 
 namespace inband {
 
+namespace {
+// A closed connection is reopened by its own event, after this delay.
+constexpr SimTime kReconnectDelay = 0;
+}  // namespace
+
 KvClient::KvClient(TcpHost& host, KvClientConfig config)
     : host_{host},
       config_{config},
@@ -13,10 +18,6 @@ KvClient::KvClient(TcpHost& host, KvClientConfig config)
   INBAND_ASSERT(config_.pipeline > 0);
   INBAND_ASSERT(config_.keyspace > 0);
   INBAND_ASSERT(config_.get_ratio >= 0.0 && config_.get_ratio <= 1.0);
-  if (config_.zipf_s > 0.0) {
-    zipf_ = std::make_unique<ZipfDistribution>(config_.keyspace,
-                                               config_.zipf_s);
-  }
   slots_.resize(static_cast<std::size_t>(config_.connections));
 }
 
@@ -79,8 +80,7 @@ void KvClient::issue_request(int slot_index) {
   req.kind = KvKind::kRequest;
   req.op = rng_.bernoulli(config_.get_ratio) ? KvOp::kGet : KvOp::kSet;
   req.id = next_request_id_++;
-  req.key = zipf_ ? (*zipf_)(rng_) - 1
-                  : rng_.uniform_u64(0, config_.keyspace - 1);
+  req.key = rng_.uniform_u64(0, config_.keyspace - 1);
   req.value_len = req.op == KvOp::kSet ? config_.value_len : 0;
   req.created_at = host_.sim().now();
   const std::uint32_t wire = kv_request_wire_size(req.op, req.value_len);
@@ -140,8 +140,7 @@ void KvClient::on_conn_closed(int slot_index, bool reset) {
   slot.conn = nullptr;
   if (reset) ++connection_failures_;
   if (!running_) return;
-  const SimTime delay = config_.reconnect_delay;
-  host_.sim().schedule_after(delay, [this, slot_index] {
+  host_.sim().schedule_after(kReconnectDelay, [this, slot_index] {
     if (running_ &&
         slots_[static_cast<std::size_t>(slot_index)].conn == nullptr) {
       open_connection(slot_index);

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "app/message.h"
@@ -32,11 +31,9 @@ struct KvClientConfig {
   int pipeline = 4;           // max outstanding requests per connection
   double get_ratio = 0.5;
   std::uint64_t keyspace = 10'000;
-  double zipf_s = 0.0;        // 0 => uniform keys
   std::uint32_t value_len = 128;
   std::uint64_t requests_per_conn = 100;  // churn period; 0 => never reconnect
   SimTime think_time = 0;     // delay between response and next request
-  SimTime reconnect_delay = 0;
   std::uint64_t seed = 7;
 };
 
@@ -95,7 +92,6 @@ class KvClient {
   TcpHost& host_;
   KvClientConfig config_;
   Rng rng_;
-  std::unique_ptr<ZipfDistribution> zipf_;  // null => uniform keys
   Recorder recorder_;
   std::vector<ConnSlot> slots_;
   bool running_ = false;

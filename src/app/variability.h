@@ -6,14 +6,12 @@
 // every attached injector to each request it processes.
 //
 // Two mechanisms:
-//  * extra_service_time() — additive per-request inflation (scheduling
-//    delays, noisy service times, slow phases);
+//  * extra_service_time() — additive per-request inflation (a slow
+//    downstream dependency, DependencyInjector below);
 //  * frozen_until() — a global stall: no worker may *start* a request before
-//    the returned time (GC/compaction pauses freeze the whole process).
+//    the returned time (a GC/compaction-style freeze; fault/server_faults.h's
+//    ScheduledFreezeInjector).
 #pragma once
-
-#include <memory>
-#include <vector>
 
 #include "util/rng.h"
 #include "util/shard.h"
@@ -51,54 +49,6 @@ class VariabilityInjector {
   // pattern — exactly the cross-entity coupling a per-shard digest cannot
   // tolerate.
   Rng rng_{0};
-};
-
-// Constant additive delay active during [start, end). The Fig. 3-style
-// "server got slow at time t" switch.
-INBAND_SHARD_LOCAL(owner)
-class StepDelayInjector final : public VariabilityInjector {
- public:
-  StepDelayInjector(SimTime start, SimTime extra,
-                    SimTime end = sec(1'000'000));
-
-  SimTime extra_service_time(SimTime now, SimTime base) override;
-
- private:
-  SimTime start_;
-  SimTime end_;
-  SimTime extra_;
-};
-
-// Periodic full-process pauses: during [k*period, k*period + pause) no
-// request may start. Models GC / compaction stalls.
-INBAND_SHARD_LOCAL(owner)
-class GcPauseInjector final : public VariabilityInjector {
- public:
-  GcPauseInjector(SimTime period, SimTime pause, SimTime phase = 0);
-
-  SimTime frozen_until(SimTime now) override;
-
- private:
-  SimTime period_;
-  SimTime pause_;
-  SimTime phase_;
-};
-
-// Heavy-tailed additive noise: with probability p, add a Pareto-distributed
-// delay (scale x_m, shape alpha). Models preemptions and interrupts.
-INBAND_SHARD_LOCAL(owner)
-class HeavyTailNoiseInjector final : public VariabilityInjector {
- public:
-  HeavyTailNoiseInjector(double probability, SimTime scale, double alpha,
-                         SimTime cap = ms(20));
-
-  SimTime extra_service_time(SimTime now, SimTime base) override;
-
- private:
-  double probability_;
-  SimTime scale_;
-  double alpha_;
-  SimTime cap_;
 };
 
 // A downstream service shared by several frontend servers (§5(3) of the
@@ -146,32 +96,6 @@ class DependencyInjector final : public VariabilityInjector {
  private:
   const SharedDependency& dep_;
   double call_fraction_;
-};
-
-// Two-state Markov slowdown: in the slow state, service time is multiplied
-// by `factor`. Dwell times are exponential with the given means; transitions
-// are evaluated lazily at request starts.
-INBAND_SHARD_LOCAL(owner)
-class MarkovSlowdownInjector final : public VariabilityInjector {
- public:
-  MarkovSlowdownInjector(SimTime mean_normal, SimTime mean_slow,
-                         double factor, std::uint64_t seed);
-
-  SimTime extra_service_time(SimTime now, SimTime base) override;
-
-  bool slow_at(SimTime now);
-
- private:
-  void advance_to(SimTime now);
-
-  SimTime mean_normal_;
-  SimTime mean_slow_;
-  double factor_;
-  // The chain's first transition is drawn lazily so a seed_stream() call at
-  // attach time (which replaces the constructor seed) governs every draw.
-  bool primed_ = false;
-  bool slow_ = false;
-  SimTime next_transition_ = 0;
 };
 
 }  // namespace inband

@@ -13,7 +13,6 @@ GradientDescentController::GradientDescentController(
     : config_{config} {
   INBAND_ASSERT(config_.epoch > 0);
   INBAND_ASSERT(config_.step > 0.0);
-  INBAND_ASSERT(config_.min_weight >= 0.0 && config_.min_weight < 1.0);
   INBAND_ASSERT(config_.deadband >= 0.0);
 }
 
@@ -67,7 +66,7 @@ std::optional<WeightDecision> GradientDescentController::control_step(
   for (const auto& s : scores_scratch_) {
     const double g = (s.score_ns - mean) / scale;
     const std::uint64_t decay_epochs =
-        std::min(epochs_[s.backend], config_.max_decay_epochs);
+        std::min(epochs_[s.backend], kMaxDecayEpochs);
     const double eta =
         config_.decay_step
             ? config_.step / std::sqrt(1.0 + static_cast<double>(decay_epochs))
@@ -78,7 +77,7 @@ std::optional<WeightDecision> GradientDescentController::control_step(
 
   // Project back onto the simplex, floor first so no healthy backend starves.
   const double nd = static_cast<double>(n);
-  const double floor = std::min(config_.min_weight, 1.0 / (2.0 * nd));
+  const double floor = std::min(kMinWeight, 1.0 / (2.0 * nd));
   for (double& w : next_) w -= floor;
   project_to_simplex(next_, 1.0 - nd * floor, scratch_);
   for (double& w : next_) w += floor;

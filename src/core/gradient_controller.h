@@ -15,7 +15,7 @@
 //   w_i <- w_i - eta_i * g_i,  eta_i = step / sqrt(1 + epochs_i)
 //   w   <- floor + project_onto_simplex(w - floor)      (mass 1 - n*floor)
 //
-// The `min_weight` floor keeps every healthy server sampled (no starvation,
+// The kMinWeight floor keeps every healthy server sampled (no starvation,
 // and the gradient stays observable for recovered servers).
 #pragma once
 
@@ -31,13 +31,6 @@ struct GradientDescentConfig {
   SimTime epoch = ms(2);  // descent interval
   double step = 0.3;      // base step size eta_0 (on normalized gradients)
   bool decay_step = true;  // eta_i = step / sqrt(1 + epochs_i); false: constant
-  // Decay cap: epochs_i saturates here, flooring eta_i at
-  // step / sqrt(1 + max_decay_epochs). Unbounded decay is correct for the
-  // source papers' static programs but paralyzes the law in a non-stationary
-  // system — after a long calm stretch eta falls below the deadband and a
-  // fault (stall, flap) can no longer be corrected. 63 floors eta at step/8.
-  std::uint64_t max_decay_epochs = 63;
-  double min_weight = 0.02;
   std::uint64_t min_samples = 3;
   SimTime staleness = ms(20);
   SimTime warmup = 0;
@@ -52,6 +45,13 @@ class GradientDescentController final : public WeightController {
   explicit GradientDescentController(GradientDescentConfig config = {});
 
   const char* name() const override { return "gradient"; }
+
+  // Decay cap: epochs_i saturates here, flooring eta_i at
+  // step / sqrt(1 + kMaxDecayEpochs). Unbounded decay is correct for the
+  // source papers' static programs but paralyzes the law in a non-stationary
+  // system — after a long calm stretch eta falls below the deadband and a
+  // fault (stall, flap) can no longer be corrected. 63 floors eta at step/8.
+  static constexpr std::uint64_t kMaxDecayEpochs = 63;
 
   INBAND_HOT std::optional<WeightDecision> control_step(
       ServerLatencyTracker& tracker, const std::vector<double>& weights,

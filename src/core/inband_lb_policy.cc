@@ -151,20 +151,6 @@ void InbandLbPolicy::on_packet(const Packet& pkt, BackendId backend,
   maybe_restore(now);
 }
 
-void InbandLbPolicy::on_pool_change(const BackendPool& pool) {
-  INBAND_ASSERT(pool.size() == pool_.size(),
-                "pool membership is fixed; only health/weights may change");
-  pool_ = pool;
-  double total = 0.0;
-  for (const auto& b : pool_) total += b.healthy ? b.weight : 0;
-  for (const auto& b : pool_) {
-    fair_shares_[b.id] = b.healthy && total > 0 ? b.weight / total : 0.0;
-  }
-  target_shares_ = fair_shares_;
-  table_.build(pool_);
-  refresh_live_shares();
-}
-
 void InbandLbPolicy::refresh_live_shares() {
   INBAND_COLD_OK(
       "runs once per table mutation (build, applied decision, restore drift), "

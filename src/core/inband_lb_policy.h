@@ -116,7 +116,6 @@ class InbandLbPolicy final : public RoutingPolicy {
                             bool new_flow) override;
   void on_flow_closed(const FlowKey& flow, BackendId backend,
                       SimTime now) override;
-  void on_pool_change(const BackendPool& pool) override;
   // Audits the Maglev table against the pool, every per-flow estimator
   // state, and the share bookkeeping the α-shift controller relies on.
   void audit_invariants(AuditScope& scope) const override;

@@ -8,11 +8,14 @@
 
 namespace inband {
 
+namespace {
+// Granularity of the greedy allocation.
+constexpr double kWeightStep = 0.05;
+}  // namespace
+
 KnapsackLbController::KnapsackLbController(KnapsackLbConfig config)
     : config_{config} {
   INBAND_ASSERT(config_.epoch > 0);
-  INBAND_ASSERT(config_.weight_step > 0.0 && config_.weight_step <= 1.0);
-  INBAND_ASSERT(config_.min_weight >= 0.0 && config_.min_weight < 1.0);
   INBAND_ASSERT(config_.deadband >= 0.0);
 }
 
@@ -98,10 +101,10 @@ std::optional<WeightDecision> KnapsackLbController::control_step(
   // lowest. With linear curves this greedily minimizes the max predicted
   // latency increase per unit of weight placed.
   const double nd = static_cast<double>(n);
-  const double floor = std::min(config_.min_weight, 1.0 / (2.0 * nd));
+  const double floor = std::min(kMinWeight, 1.0 / (2.0 * nd));
   const double budget = 1.0 - nd * floor;
   const int steps =
-      std::max(1, static_cast<int>(std::lround(budget / config_.weight_step)));
+      std::max(1, static_cast<int>(std::lround(budget / kWeightStep)));
   const double unit = budget / steps;
   solved_.assign(n, floor);
   for (int s = 0; s < steps; ++s) {

@@ -15,8 +15,8 @@
 //     the same weight — falls back to b = score, a = 0, so the solve
 //     waterfills toward w_i proportional to 1/score_i until real slope
 //     information reappears).
-//  3. Solve greedily: start every backend at the `min_weight` floor and hand
-//     out the remaining mass in `weight_step` units, each unit to the
+//  3. Solve greedily: start every backend at the kMinWeight floor and hand
+//     out the remaining mass in 0.05 units (kWeightStep), each unit to the
 //     backend with the lowest *predicted* latency at its next weight level.
 //     Ties break toward the lower backend id (determinism).
 //
@@ -37,8 +37,6 @@ namespace inband {
 
 struct KnapsackLbConfig {
   SimTime epoch = ms(4);      // gauge + solve interval
-  double weight_step = 0.05;  // greedy allocation granularity
-  double min_weight = 0.02;   // per-backend floor (gauging budget)
   std::uint64_t min_samples = 3;
   SimTime staleness = ms(20);  // scores older than this block a solve
   SimTime warmup = 0;

@@ -8,6 +8,11 @@
 
 namespace inband {
 
+namespace {
+// The p95 mode's sliding window is kept as this many time slices.
+constexpr int kWindowSlices = 8;
+}  // namespace
+
 ServerLatencyTracker::ServerLatencyTracker(std::size_t backend_count,
                                            LatencyTrackerConfig config)
     : config_{config} {
@@ -15,7 +20,7 @@ ServerLatencyTracker::ServerLatencyTracker(std::size_t backend_count,
   entries_.reserve(backend_count);
   for (std::size_t i = 0; i < backend_count; ++i) {
     entries_.emplace_back(config_.ewma_tau, config_.window,
-                          config_.window_slices);
+                          kWindowSlices);
   }
 }
 

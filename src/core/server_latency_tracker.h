@@ -29,7 +29,6 @@ struct LatencyTrackerConfig {
   LatencyScoreMode mode = LatencyScoreMode::kEwma;
   SimTime ewma_tau = ms(2);      // decay constant of the per-server EWMA
   SimTime window = ms(50);       // sliding window for the p95 mode
-  int window_slices = 8;
 };
 
 struct BackendScore {

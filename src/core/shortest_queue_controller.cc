@@ -1,7 +1,6 @@
 #include "core/shortest_queue_controller.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "check/state_digest.h"
 #include "util/assert.h"
@@ -11,8 +10,6 @@ namespace inband {
 ShortestQueueController::ShortestQueueController(ShortestQueueConfig config)
     : config_{config} {
   INBAND_ASSERT(config_.epoch > 0);
-  INBAND_ASSERT(config_.power > 0.0);
-  INBAND_ASSERT(config_.min_weight >= 0.0 && config_.min_weight < 1.0);
   INBAND_ASSERT(config_.deadband >= 0.0);
 }
 
@@ -63,14 +60,9 @@ std::optional<WeightDecision> ShortestQueueController::control_step(
   for (const auto& s : view_) {
     if (s.score_ns > worst->score_ns) worst = &s;
     if (s.score_ns < best->score_ns) best = &s;
-    const double inv = 1.0 / std::max(s.score_ns, 1.0);
-    // power == 1 skips a pow() whose rounding is libm's business, not ours.
-    next_[s.backend] =
-        config_.power > 0.999 && config_.power < 1.001
-            ? inv
-            : std::pow(inv, config_.power);
+    next_[s.backend] = 1.0 / std::max(s.score_ns, 1.0);
   }
-  floor_and_normalize(next_, config_.min_weight);
+  floor_and_normalize(next_, kMinWeight);
 
   if (weight_l1_distance(next_, weights) < config_.deadband) {
     return std::nullopt;

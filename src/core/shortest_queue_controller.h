@@ -5,12 +5,10 @@
 // traffic in proportion to how "short" each server currently looks. Here a
 // server's queue proxy is its in-band latency score, so the law is
 //
-//   w_i  ~  (1 / max(score_i, 1ns)) ^ power
+//   w_i  ~  1 / max(score_i, 1ns)
 //
-// renormalized over the healthy set (floored, so nobody starves). `power`
-// sharpens the preference: 1.0 is plain inverse-latency proportionality;
-// large powers approach join-the-shortest-queue's winner-take-all behavior
-// and exhibit its herd oscillation.
+// renormalized over the healthy set (floored at kMinWeight, so nobody
+// starves): plain inverse-latency proportionality.
 //
 // The stale-info variant (`view_refresh > 0`) recomputes from a *snapshot*
 // of the scores that only refreshes every `view_refresh`: between refreshes
@@ -30,8 +28,6 @@ namespace inband {
 struct ShortestQueueConfig {
   SimTime epoch = ms(2);   // reweigh interval
   SimTime view_refresh = 0;  // 0: always-fresh view; >0: stale-info variant
-  double power = 1.0;      // preference sharpness
-  double min_weight = 0.02;
   std::uint64_t min_samples = 1;
   SimTime staleness = ms(20);
   SimTime warmup = 0;
@@ -55,11 +51,6 @@ class ShortestQueueController final : public WeightController {
       SimTime now) override;
 
   const ShortestQueueConfig& config() const { return config_; }
-  // Age of the score view the last decision was computed from (0 for the
-  // fresh variant). Introspection for tests.
-  SimTime view_age(SimTime now) const {
-    return view_taken_ == kNoTime ? 0 : now - view_taken_;
-  }
 
   void digest_state(StateDigest& digest) const override;
 

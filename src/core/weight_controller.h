@@ -102,6 +102,11 @@ class WeightController {
 
 // --- shared weight-vector helpers (used by the zoo laws and their tests) ---
 
+// Per-backend weight floor of the weight-vector laws (knapsack, gradient,
+// shortest-queue): every healthy backend keeps a trickle of traffic, so its
+// score keeps refreshing and nobody starves.
+inline constexpr double kMinWeight = 0.02;
+
 // Rescales `w` onto the probability simplex with a per-entry floor. The
 // input's magnitude is irrelevant (it is first normalized to sum 1, negative
 // entries clipped): each entry ends at `floor + surplus_i`, surpluses

@@ -133,15 +133,15 @@ SendVerdict FaultLayer::on_send(const Packet& pkt, Ipv4 from, Ipv4 to) {
       // The copy re-arrives within the reorder window — a late duplicate
       // stresses the estimators harder than a back-to-back one.
       verdict.duplicate_hold = static_cast<SimTime>(link.rng.uniform_u64(
-          0, static_cast<std::uint64_t>(spec->reorder_hold_max)));
+          0, static_cast<std::uint64_t>(kReorderHoldMax)));
       ++duplicates_;
       touched = true;
       record_link_event(FaultEvent::Kind::kDuplicate, link.ref);
     }
     if (spec->reorder > 0.0 && link.rng.bernoulli(spec->reorder)) {
       verdict.hold += static_cast<SimTime>(link.rng.uniform_u64(
-          static_cast<std::uint64_t>(spec->reorder_hold_min),
-          static_cast<std::uint64_t>(spec->reorder_hold_max)));
+          static_cast<std::uint64_t>(kReorderHoldMin),
+          static_cast<std::uint64_t>(kReorderHoldMax)));
       ++reorders_;
       touched = true;
       record_link_event(FaultEvent::Kind::kReorder, link.ref);

@@ -53,9 +53,6 @@ void FaultPlan::validate() const {
     INBAND_ASSERT(valid_probability(spec.loss), "loss out of [0,1]");
     INBAND_ASSERT(valid_probability(spec.duplicate), "duplicate out of [0,1]");
     INBAND_ASSERT(valid_probability(spec.reorder), "reorder out of [0,1]");
-    INBAND_ASSERT(spec.reorder_hold_min >= 0 &&
-                      spec.reorder_hold_max > spec.reorder_hold_min,
-                  "reorder hold window must be ordered");
     INBAND_ASSERT(spec.jitter_max >= 0, "jitter_max must be >= 0");
     INBAND_ASSERT(spec.start >= 0 && spec.end > spec.start,
                   "fault window must be ordered");

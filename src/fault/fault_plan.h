@@ -35,6 +35,11 @@ enum class LinkScope { kAll, kClientToLb, kLbToServer, kServerToClient };
 
 const char* link_scope_name(LinkScope scope);
 
+// A reordered packet is held uniform in [kReorderHoldMin, kReorderHoldMax];
+// a duplicate re-arrives uniform in [0, kReorderHoldMax].
+inline constexpr SimTime kReorderHoldMin = us(50);
+inline constexpr SimTime kReorderHoldMax = us(500);
+
 // Stochastic per-packet faults on every matching link, active during
 // [start, end). Evaluation order per packet: loss, then duplication, then
 // reordering, then jitter — a lost packet is never duplicated or held.
@@ -49,9 +54,6 @@ struct LinkFaultSpec {
   double loss = 0.0;       // P(packet silently dropped)
   double duplicate = 0.0;  // P(a second copy is transmitted)
   double reorder = 0.0;    // P(packet held so later packets overtake it)
-  // Hold duration for a reordered packet, uniform in [min, max).
-  SimTime reorder_hold_min = us(50);
-  SimTime reorder_hold_max = us(500);
   // Per-packet delay jitter: every passing packet is held uniform in
   // [0, jitter_max). 0 disables. Unlike LinkParams::jitter_* this jitter is
   // applied *before* the link and is not FIFO-clamped, so large draws also

@@ -65,22 +65,6 @@ void LoadBalancer::forward(PacketRef pkt) {
   send_to(pool_[backend].addr, std::move(pkt));
 }
 
-void LoadBalancer::set_backend_health(BackendId id, bool healthy) {
-  INBAND_ASSERT(id < pool_.size());
-  if (pool_[id].healthy == healthy) return;
-  pool_[id].healthy = healthy;
-  policy_->on_pool_change(pool_);
-  ++pool_changes_;
-}
-
-void LoadBalancer::set_backend_weight(BackendId id, std::uint32_t weight) {
-  INBAND_ASSERT(id < pool_.size());
-  if (pool_[id].weight == weight) return;
-  pool_[id].weight = weight;
-  policy_->on_pool_change(pool_);
-  ++pool_changes_;
-}
-
 std::uint64_t LoadBalancer::forwarded_to(BackendId id) const {
   INBAND_ASSERT(id < forwarded_per_backend_.size());
   return forwarded_per_backend_[id];

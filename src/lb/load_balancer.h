@@ -36,13 +36,6 @@ class LoadBalancer : public Host {
   // of its pooled buffer — the LB hop moves handles, never packet bytes.
   INBAND_HOT void handle_batch(PacketBatch&& batch) override;
 
-  // Control-plane pool updates (health checker, operator). The policy is
-  // re-notified so *new* flows avoid an unhealthy backend; tracked
-  // connections keep forwarding to their pinned backend until they close
-  // (drain semantics — §2.5's "minimize connection-breaking").
-  void set_backend_health(BackendId id, bool healthy);
-  void set_backend_weight(BackendId id, std::uint32_t weight);
-
   RoutingPolicy& policy() { return *policy_; }
   const BackendPool& pool() const { return pool_; }
   ConnTracker& conntrack() { return conntrack_; }
@@ -73,7 +66,6 @@ class LoadBalancer : public Host {
   std::uint64_t& new_flows_ = counters_.get("lb.new_flows");
   std::uint64_t& flows_closed_ = counters_.get("lb.flows_closed");
   std::uint64_t& drops_no_backend_ = counters_.get("lb.drops_no_backend");
-  std::uint64_t& pool_changes_ = counters_.get("lb.pool_changes");
   std::vector<std::uint64_t> forwarded_per_backend_;
   std::vector<std::uint64_t> new_flows_per_backend_;
 };

@@ -16,10 +16,6 @@ BackendId StaticMaglevPolicy::pick(const FlowKey& flow, SimTime now) {
   return table_.lookup(flow);
 }
 
-void StaticMaglevPolicy::on_pool_change(const BackendPool& pool) {
-  table_.build(pool);
-}
-
 RoundRobinPolicy::RoundRobinPolicy(const BackendPool& pool) : pool_{pool} {
   INBAND_ASSERT(!pool_.empty());
 }
@@ -42,14 +38,6 @@ WeightedRandomPolicy::WeightedRandomPolicy(const BackendPool& pool,
     if (b.healthy) total_weight_ += b.weight;
   }
   INBAND_ASSERT(total_weight_ > 0, "no healthy weighted backend");
-}
-
-void WeightedRandomPolicy::on_pool_change(const BackendPool& pool) {
-  pool_ = pool;
-  total_weight_ = 0;
-  for (const auto& b : pool_) {
-    if (b.healthy) total_weight_ += b.weight;
-  }
 }
 
 BackendId WeightedRandomPolicy::pick(const FlowKey& flow, SimTime now) {
@@ -93,13 +81,6 @@ void LeastConnPolicy::on_flow_closed(const FlowKey& flow, BackendId backend,
   (void)flow;
   (void)now;
   if (backend < live_.size() && live_[backend] > 0) --live_[backend];
-}
-
-void LeastConnPolicy::on_pool_change(const BackendPool& pool) {
-  pool_ = pool;
-  std::size_t max_id = 0;
-  for (const auto& b : pool_) max_id = std::max<std::size_t>(max_id, b.id);
-  if (live_.size() <= max_id) live_.resize(max_id + 1, 0);
 }
 
 std::uint64_t LeastConnPolicy::live_connections(BackendId id) const {

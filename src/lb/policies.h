@@ -21,7 +21,6 @@ class StaticMaglevPolicy final : public RoutingPolicy {
 
   std::string name() const override { return "maglev-static"; }
   BackendId pick(const FlowKey& flow, SimTime now) override;
-  void on_pool_change(const BackendPool& pool) override;
 
   const MaglevTable& table() const { return table_; }
 
@@ -37,7 +36,6 @@ class RoundRobinPolicy final : public RoutingPolicy {
 
   std::string name() const override { return "round-robin"; }
   BackendId pick(const FlowKey& flow, SimTime now) override;
-  void on_pool_change(const BackendPool& pool) override { pool_ = pool; }
 
  private:
   BackendPool pool_;
@@ -52,7 +50,6 @@ class WeightedRandomPolicy final : public RoutingPolicy {
 
   std::string name() const override { return "weighted-random"; }
   BackendId pick(const FlowKey& flow, SimTime now) override;
-  void on_pool_change(const BackendPool& pool) override;
 
  private:
   BackendPool pool_;
@@ -74,7 +71,6 @@ class LeastConnPolicy final : public RoutingPolicy {
   BackendId pick(const FlowKey& flow, SimTime now) override;
   void on_flow_closed(const FlowKey& flow, BackendId backend,
                       SimTime now) override;
-  void on_pool_change(const BackendPool& pool) override;
 
   std::uint64_t live_connections(BackendId id) const;
 

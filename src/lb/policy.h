@@ -46,11 +46,6 @@ class RoutingPolicy {
     (void)now;
   }
 
-  // The backend pool changed (health flip, weight change). Policies that
-  // precompute structures (hash tables, weight sums) rebuild here. Existing
-  // connections are unaffected: conntrack pins them until they finish.
-  virtual void on_pool_change(const BackendPool& pool) { (void)pool; }
-
   // Invariant audit over the policy's internal structures (hash tables,
   // per-flow state). Default: nothing to audit.
   virtual void audit_invariants(AuditScope& scope) const { (void)scope; }

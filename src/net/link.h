@@ -58,7 +58,6 @@ class Link {
   // Runtime-adjustable additional one-way delay (>= 0); applied to packets
   // transmitted after the change.
   void set_extra_delay(SimTime d);
-  SimTime extra_delay() const { return extra_delay_; }
 
   const LinkParams& params() const { return params_; }
 

@@ -61,7 +61,7 @@ ClusterRig::ClusterRig(ClusterRigConfig config)
         std::move(policy)));
     for (int s = 0; s < config_.num_servers; ++s) {
       net_.add_link(rig_vip_addr(base, l), rig_server_addr(base, s),
-                    {config_.bandwidth_bps, config_.lb_server_delay, 0});
+                    {kRigBandwidthBps, kRigLbServerDelay, 0});
     }
   }
 
@@ -78,11 +78,11 @@ ClusterRig::ClusterRig(ClusterRigConfig config)
             ? config_.client_extra_distance[static_cast<std::size_t>(c)]
             : 0;
     net_.add_link(rig_client_addr(base, c), rig_vip_addr(base, lb_index),
-                  {config_.bandwidth_bps, config_.client_lb_delay + extra, 0});
+                  {kRigBandwidthBps, kRigClientLbDelay + extra, 0});
     for (int s = 0; s < config_.num_servers; ++s) {
       net_.add_link(
           rig_server_addr(base, s), rig_client_addr(base, c),
-          {config_.bandwidth_bps, config_.server_client_delay + extra, 0});
+          {kRigBandwidthBps, kRigServerClientDelay + extra, 0});
     }
     KvClientConfig cc = config_.client;
     cc.server = Endpoint{rig_vip_addr(base, lb_index), config_.server.port};
@@ -254,6 +254,19 @@ std::size_t ClusterRig::run_full_audit() {
   return auditor_.run_all(sim_.now());
 }
 
+void digest_records(StateDigest& digest,
+                    const std::vector<RequestRecord>& records) {
+  digest.mix(records.size());
+  for (const auto& r : records) {
+    digest.mix_i64(r.sent_at);
+    digest.mix_i64(r.latency);
+    digest.mix_u32(static_cast<std::uint32_t>(r.op));
+    digest.mix_bool(r.hit);
+    digest.mix_u32(static_cast<std::uint32_t>(r.conn_index));
+    digest.mix(hash_flow(r.flow));
+  }
+}
+
 std::uint64_t ClusterRig::state_digest() {
   StateDigest d;
   sim_.digest_state(d);
@@ -261,15 +274,7 @@ std::uint64_t ClusterRig::state_digest() {
   for (auto& lb : lbs_) lb->digest_state(d);
   for (auto& h : server_hosts_) h->stack().digest_state(d);
   for (auto& h : client_hosts_) h->stack().digest_state(d);
-  d.mix(records_.size());
-  for (const auto& r : records_) {
-    d.mix_i64(r.sent_at);
-    d.mix_i64(r.latency);
-    d.mix_u32(static_cast<std::uint32_t>(r.op));
-    d.mix_bool(r.hit);
-    d.mix_u32(static_cast<std::uint32_t>(r.conn_index));
-    d.mix(hash_flow(r.flow));
-  }
+  digest_records(d, records_);
   d.mix(share_history_.size());
   for (const auto& snap : share_history_) {
     d.mix_i64(snap.t);

@@ -29,6 +29,8 @@
 
 namespace inband {
 
+class StateDigest;
+
 enum class LbMode {
   kStaticMaglev,
   kInband,
@@ -59,6 +61,17 @@ constexpr Ipv4 rig_remote_client_addr(int base, int i) {
                    0, static_cast<std::uint8_t>(1 + i));
 }
 
+// The rig's network, also shared with the sharded rig: the one-way
+// propagation delay of each path and the rate of every link.
+inline constexpr SimTime kRigClientLbDelay = us(20);
+inline constexpr SimTime kRigLbServerDelay = us(20);
+inline constexpr SimTime kRigServerClientDelay = us(40);
+inline constexpr std::uint64_t kRigBandwidthBps = 10'000'000'000;
+
+// Folds a completed-request record stream into a determinism digest.
+void digest_records(StateDigest& digest,
+                    const std::vector<RequestRecord>& records);
+
 struct ClusterRigConfig {
   int num_servers = 2;
   int num_lbs = 1;       // >1 => independent LBs sharing the server pool
@@ -82,15 +95,10 @@ struct ClusterRigConfig {
   KvServerConfig server;
   KvClientConfig client;  // `server` endpoint is filled in by the rig
 
-  // Network.
-  SimTime client_lb_delay = us(20);
-  SimTime lb_server_delay = us(20);
-  SimTime server_client_delay = us(40);
   // Extra one-way distance per client host (both directions), index-aligned
   // with client hosts; missing entries mean 0. Models far / non-equidistant
   // clients (paper §5(1)).
   std::vector<SimTime> client_extra_distance;
-  std::uint64_t bandwidth_bps = 10'000'000'000;
   TcpConfig tcp;
 
   // Fault injection: extra delay on LB→servers[victim] from inject_time on.

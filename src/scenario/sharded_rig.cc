@@ -173,26 +173,8 @@ class ShardExecutor : public ShardProgram, public RemoteEgress {
 
 namespace {
 
-// splitmix64 finalizer: decorrelates per-shard digests before the
-// commutative fold so permuted shard state cannot cancel out.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-void digest_records(StateDigest& d, const std::vector<RequestRecord>& recs) {
-  d.mix(recs.size());
-  for (const auto& r : recs) {
-    d.mix_i64(r.sent_at);
-    d.mix_i64(r.latency);
-    d.mix_u32(static_cast<std::uint32_t>(r.op));
-    d.mix_bool(r.hit);
-    d.mix_u32(static_cast<std::uint32_t>(r.conn_index));
-    d.mix(hash_flow(r.flow));
-  }
-}
+// Per-shard seeds are spaced this far apart.
+constexpr std::uint64_t kShardSeedStride = 1000;
 
 }  // namespace
 
@@ -221,7 +203,7 @@ ShardedRig::ShardedRig(ShardedRigConfig config) : config_{std::move(config)} {
     ClusterRigConfig cfg = config_.shard;
     cfg.addr_base = s;
     cfg.seed = config_.shard.seed +
-               config_.seed_stride * static_cast<std::uint64_t>(s);
+               kShardSeedStride * static_cast<std::uint64_t>(s);
     cfg.install_log_clock = false;
     Shard& sh = shards_[static_cast<std::size_t>(s)];
     sh.rig = std::make_unique<ClusterRig>(std::move(cfg));
@@ -238,11 +220,11 @@ ShardedRig::ShardedRig(ShardedRigConfig config) : config_{std::move(config)} {
         // Single shard: the "remote" path is ordinary local links with the
         // trunk's latency — same workload shape, no channels.
         sh.rig->net().add_link(host->addr(), vip,
-                               {scfg.bandwidth_bps, config_.cross_latency, 0});
+                               {kRigBandwidthBps, config_.cross_latency, 0});
         for (int sv = 0; sv < scfg.num_servers; ++sv) {
           sh.rig->net().add_link(
               rig_server_addr(s, sv), host->addr(),
-              {scfg.bandwidth_bps, config_.cross_latency, 0});
+              {kRigBandwidthBps, config_.cross_latency, 0});
         }
       }
       KvClientConfig rc = config_.remote_client;
@@ -327,7 +309,9 @@ std::uint64_t ShardedRig::combined_digest() {
   for (int s = 0; s < num_shards(); ++s) {
     const std::uint64_t salt =
         std::uint64_t{0x9e3779b97f4a7c15ULL} * static_cast<std::uint64_t>(s + 1);
-    sum += mix64(shard_digest(s) + salt);
+    // splitmix64 decorrelates the per-shard digests before the commutative
+    // fold, so permuted shard state cannot cancel out.
+    sum += splitmix64(shard_digest(s) + salt);
   }
   return sum;
 }
@@ -335,12 +319,6 @@ std::uint64_t ShardedRig::combined_digest() {
 std::uint64_t ShardedRig::cross_packets() const {
   std::uint64_t n = 0;
   for (const auto& ch : channels_) n += ch->pushed();
-  return n;
-}
-
-std::uint64_t ShardedRig::total_packets_sent() const {
-  std::uint64_t n = 0;
-  for (const Shard& sh : shards_) n += sh.rig->net().stats().packets_sent;
   return n;
 }
 

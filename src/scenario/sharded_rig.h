@@ -43,10 +43,9 @@ struct ShardedRigConfig {
 
   // Per-shard template. addr_base, seed, and install_log_clock are
   // overridden per shard: shard s runs at addr_base = s and
-  // seed = shard.seed + seed_stride * s (so shard 0 matches the template
-  // exactly and the S=1 rig is digest-identical to a plain ClusterRig).
+  // seed = shard.seed + 1000 * s (so shard 0 matches the template exactly
+  // and the S=1 rig is digest-identical to a plain ClusterRig).
   ClusterRigConfig shard;
-  std::uint64_t seed_stride = 1000;
 
   // One-way latency of every cross-shard trunk: the conservative lookahead.
   // Must be positive — zero would stall the protocol (sim/parallel.h).
@@ -92,9 +91,6 @@ class ShardedRig {
 
   // Total packets handed to ShardChannels across all trunks.
   std::uint64_t cross_packets() const;
-  // Total packets sent across all shard networks (the bench throughput
-  // numerator).
-  std::uint64_t total_packets_sent() const;
   // Completed requests across all shards, local + remote.
   std::uint64_t total_records() const;
 

@@ -60,8 +60,8 @@ static std::uint64_t ack_offset_of(const RecvBuffer& rb, bool fin_processed,
 
 std::uint32_t TcpConnection::advertised_window() const {
   const std::uint64_t buffered = recv_buf_.buffered_bytes();
-  if (buffered >= config_.recv_buffer_bytes) return 0;
-  return config_.recv_buffer_bytes - static_cast<std::uint32_t>(buffered);
+  if (buffered >= kRecvBufferBytes) return 0;
+  return kRecvBufferBytes - static_cast<std::uint32_t>(buffered);
 }
 
 std::uint64_t TcpConnection::effective_window() const {
@@ -455,14 +455,14 @@ void TcpConnection::disarm_retx() {
 
 void TcpConnection::on_retx_timeout() {
   ++retx_attempts_;
-  if (retx_attempts_ > config_.max_retries) {
+  if (retx_attempts_ > kMaxRetries) {
     LOG_DEBUG() << "conn " << format_flow(key_) << " gave up after "
-                << config_.max_retries << " retries in "
+                << kMaxRetries << " retries in "
                 << tcp_state_name(state_);
     teardown(true);
     return;
   }
-  rto_ = std::min(rto_ * 2, config_.rto_max);
+  rto_ = std::min(rto_ * 2, kRtoMax);
 
   switch (state_) {
     case TcpState::kSynSent:
@@ -502,7 +502,7 @@ void TcpConnection::update_rtt(SimTime sample) {
     rttvar_ = (3 * rttvar_ + err) / 4;
     srtt_ = (7 * srtt_ + sample) / 8;
   }
-  rto_ = std::clamp(srtt_ + 4 * rttvar_, config_.rto_min, config_.rto_max);
+  rto_ = std::clamp(srtt_ + 4 * rttvar_, kRtoMin, kRtoMax);
 }
 
 void TcpConnection::enter_time_wait() {
@@ -510,7 +510,7 @@ void TcpConnection::enter_time_wait() {
   disarm_retx();
   cancel_delack();
   if (time_wait_timer_ == kInvalidEventId) {
-    time_wait_timer_ = sim().schedule_after(config_.time_wait, [this] {
+    time_wait_timer_ = sim().schedule_after(kTimeWaitLinger, [this] {
       time_wait_timer_ = kInvalidEventId;
       teardown(false);
     });

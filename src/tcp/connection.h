@@ -104,15 +104,12 @@ class TcpConnection {
   const Endpoint& remote() const { return key_.dst; }
   const TcpConfig& config() const { return config_; }
   std::uint64_t bytes_in_flight() const { return snd_nxt_ - snd_una_; }
-  std::uint64_t bytes_queued() const { return send_buf_.end() - snd_nxt_; }
   std::uint64_t snd_una() const { return snd_una_; }
-  std::uint64_t snd_nxt() const { return snd_nxt_; }
   std::uint64_t rcv_nxt() const { return recv_buf_.rcv_nxt(); }
   std::uint64_t effective_window() const;
   SimTime srtt() const { return srtt_; }
   std::uint64_t retransmits() const { return retransmits_; }
   std::uint64_t segments_sent() const { return segments_sent_; }
-  std::uint64_t segments_received() const { return segments_received_; }
 
   // Invariant audit: sequence-number ordering (snd_una <= snd_nxt <= queued
   // end), window/FIN bookkeeping, and RTT estimator sanity.

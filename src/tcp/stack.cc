@@ -16,12 +16,7 @@ TcpStack::TcpStack(Host& host, TcpConfig default_config, std::uint64_t seed)
 
 std::uint32_t TcpStack::make_isn() {
   ++conn_counter_;
-  if (default_config_.random_isn) {
-    return static_cast<std::uint32_t>(rng_());
-  }
-  // Deterministic but distinct per connection; tests exercising wraparound
-  // override via the connection config path.
-  return static_cast<std::uint32_t>(conn_counter_ * 0x01000193u);
+  return static_cast<std::uint32_t>(rng_());
 }
 
 bool TcpStack::port_in_use(std::uint16_t port) const {

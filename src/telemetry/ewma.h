@@ -1,11 +1,9 @@
-// Exponentially weighted moving averages.
+// Exponentially weighted moving average over time.
 //
-// Two flavours:
-//  * Ewma        — classic per-sample EWMA with a fixed gain.
-//  * DecayingEwma — time-aware EWMA whose weight on the old value decays
-//    exponentially with the gap since the previous sample; robust when the
-//    sampling rate itself varies (exactly the case for per-server latency
-//    samples at the LB, whose arrival rate depends on traffic share).
+// DecayingEwma is a time-aware EWMA whose weight on the old value decays
+// exponentially with the gap since the previous sample; robust when the
+// sampling rate itself varies (exactly the case for per-server latency
+// samples at the LB, whose arrival rate depends on traffic share).
 #pragma once
 
 #include <cmath>
@@ -15,36 +13,6 @@
 #include "util/time.h"
 
 namespace inband {
-
-INBAND_SHARD_LOCAL(owner)
-class Ewma {
- public:
-  explicit Ewma(double gain = 0.125) : gain_{gain} {
-    INBAND_ASSERT(gain > 0.0 && gain <= 1.0);
-  }
-
-  void record(double sample) {
-    if (!initialized_) {
-      value_ = sample;
-      initialized_ = true;
-      return;
-    }
-    value_ += gain_ * (sample - value_);
-  }
-
-  bool initialized() const { return initialized_; }
-  double value() const { return initialized_ ? value_ : 0.0; }
-
-  void reset() {
-    initialized_ = false;
-    value_ = 0.0;
-  }
-
- private:
-  double gain_;
-  double value_ = 0.0;
-  bool initialized_ = false;
-};
 
 INBAND_SHARD_LOCAL(owner)
 class DecayingEwma {

@@ -67,52 +67,4 @@ double Rng::pareto(double x_m, double alpha) {
   return x_m / std::pow(u, 1.0 / alpha);
 }
 
-namespace {
-
-// Helper used by rejection-inversion: H(x) integrates x^{-s}.
-double h_integral(double x, double s) {
-  const double log_x = std::log(x);
-  if (std::abs(1.0 - s) < 1e-12) return log_x;
-  return std::expm1((1.0 - s) * log_x) / (1.0 - s);
-}
-
-double h_integral_inv(double x, double s) {
-  if (std::abs(1.0 - s) < 1e-12) return std::exp(x);
-  double t = x * (1.0 - s);
-  if (t < -1.0) t = -1.0;  // numeric guard
-  return std::exp(std::log1p(t) / (1.0 - s));
-}
-
-}  // namespace
-
-ZipfDistribution::ZipfDistribution(std::uint64_t n, double s) : n_{n}, s_{s} {
-  INBAND_ASSERT(n >= 1);
-  INBAND_ASSERT(s >= 0.0);
-  h_x1_ = h_integral(1.5, s_) - 1.0;
-  h_n_ = h_integral(static_cast<double>(n_) + 0.5, s_);
-  threshold_ = 2.0 - h_integral_inv(h_integral(2.5, s_) - std::pow(2.0, -s_),
-                                    s_);
-}
-
-double ZipfDistribution::h(double x) const { return h_integral(x, s_); }
-double ZipfDistribution::h_inv(double x) const {
-  return h_integral_inv(x, s_);
-}
-
-std::uint64_t ZipfDistribution::operator()(Rng& rng) const {
-  if (n_ == 1) return 1;
-  while (true) {
-    const double u = h_n_ + rng.uniform_double() * (h_x1_ - h_n_);
-    const double x = h_inv(u);
-    auto k = static_cast<std::uint64_t>(x + 0.5);
-    if (k < 1) k = 1;
-    if (k > n_) k = n_;
-    const double kd = static_cast<double>(k);
-    if (kd - x <= threshold_ ||
-        u >= h(kd + 0.5) - std::exp(-s_ * std::log(kd))) {
-      return k;
-    }
-  }
-}
-
 }  // namespace inband

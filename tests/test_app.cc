@@ -1,13 +1,15 @@
-// Unit tests: application layer (KV protocol, variability injectors,
-// KV server, memtier-style client, bulk flows).
+// Unit tests: application layer (KV protocol, KV server with injectors,
+// memtier-style client, bulk flows).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <tuple>
+#include <vector>
 
 #include "app/bulk_flow.h"
 #include "app/kv_client.h"
 #include "app/kv_server.h"
+#include "fault/server_faults.h"
 #include "scenario/metrics.h"
 #include "telemetry/time_series.h"
 
@@ -48,66 +50,6 @@ TEST(KvProtocol, ResponseEchoesRequestFields) {
   EXPECT_TRUE(resp.hit);
   EXPECT_EQ(resp.value_len, 512u);
   EXPECT_EQ(resp.created_at, us(55));
-}
-
-// --- variability injectors ---
-
-TEST(Variability, StepDelayActiveOnlyInWindow) {
-  StepDelayInjector inj{ms(10), us(500), ms(20)};
-  EXPECT_EQ(inj.extra_service_time(ms(5), us(10)), 0);
-  EXPECT_EQ(inj.extra_service_time(ms(10), us(10)), us(500));
-  EXPECT_EQ(inj.extra_service_time(ms(15), us(10)), us(500));
-  EXPECT_EQ(inj.extra_service_time(ms(20), us(10)), 0);
-}
-
-TEST(Variability, GcPauseFreezesPeriodically) {
-  GcPauseInjector inj{ms(100), ms(5)};
-  // During the pause window.
-  EXPECT_EQ(inj.frozen_until(ms(2)), ms(5));
-  EXPECT_EQ(inj.frozen_until(ms(102)), ms(105));
-  // Outside.
-  EXPECT_EQ(inj.frozen_until(ms(50)), 0);
-}
-
-TEST(Variability, GcPausePhaseShift) {
-  GcPauseInjector inj{ms(100), ms(5), ms(30)};
-  EXPECT_EQ(inj.frozen_until(ms(2)), 0);    // before phase, no pause yet
-  EXPECT_EQ(inj.frozen_until(ms(31)), ms(35));
-}
-
-TEST(Variability, HeavyTailRespectsProbabilityAndCap) {
-  HeavyTailNoiseInjector inj{0.1, us(100), 1.5, ms(2)};
-  inj.seed_stream(5);
-  int nonzero = 0;
-  constexpr int kN = 20'000;
-  for (int i = 0; i < kN; ++i) {
-    const SimTime d = inj.extra_service_time(0, us(10));
-    EXPECT_LE(d, ms(2));
-    if (d > 0) {
-      EXPECT_GE(d, us(100));
-      ++nonzero;
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(nonzero) / kN, 0.1, 0.02);
-}
-
-TEST(Variability, MarkovSlowdownMultipliesBase) {
-  MarkovSlowdownInjector inj{ms(1), ms(1), 3.0, 7};
-  // Find a time where the state is slow, verify the multiplier.
-  bool saw_slow = false;
-  bool saw_fast = false;
-  for (SimTime t = 0; t < ms(50); t += us(100)) {
-    const SimTime extra = inj.extra_service_time(t, us(10));
-    if (inj.slow_at(t)) {
-      EXPECT_EQ(extra, us(20));  // base * (3-1)
-      saw_slow = true;
-    } else {
-      EXPECT_EQ(extra, 0);
-      saw_fast = true;
-    }
-  }
-  EXPECT_TRUE(saw_slow);
-  EXPECT_TRUE(saw_fast);
 }
 
 // --- server + client end to end (direct link, no LB) ---
@@ -224,7 +166,9 @@ TEST(KvServer, WorkerPoolQueuesUnderOverload) {
             static_cast<double>(us(1000)));
 }
 
-TEST(KvServer, StepInjectorInflatesLatency) {
+// A dependency that every request calls and that degrades at 20ms: a step
+// in service time from then on.
+TEST(KvServer, InjectorInflatesLatency) {
   KvServerConfig sc;
   sc.service_sigma = 0.0;
   KvClientConfig cc;
@@ -232,8 +176,9 @@ TEST(KvServer, StepInjectorInflatesLatency) {
   cc.pipeline = 1;
   cc.requests_per_conn = 0;
   KvRig rig{sc, cc};
-  rig.server->add_injector(
-      std::make_unique<StepDelayInjector>(ms(20), ms(1)));
+  SharedDependency dep{0};
+  dep.inject(ms(20), ms(1));
+  rig.server->add_injector(std::make_unique<DependencyInjector>(dep, 1.0));
   std::vector<Sample> lat;
   rig.client->set_recorder([&](const RequestRecord& r) {
     lat.push_back({r.sent_at, r.latency});
@@ -245,7 +190,7 @@ TEST(KvServer, StepInjectorInflatesLatency) {
   EXPECT_GT(after, before + static_cast<double>(us(900)));
 }
 
-TEST(KvServer, GcPauseStallsAllWorkers) {
+TEST(KvServer, FreezeStallsAllWorkers) {
   KvServerConfig sc;
   sc.workers = 4;
   sc.service_sigma = 0.0;
@@ -254,8 +199,13 @@ TEST(KvServer, GcPauseStallsAllWorkers) {
   cc.pipeline = 2;
   cc.requests_per_conn = 0;
   KvRig rig{sc, cc};
+  // A 2ms freeze every 10ms.
+  std::vector<ScheduledFreezeInjector::Window> freezes;
+  for (SimTime t = 0; t < ms(50); t += ms(10)) {
+    freezes.push_back({t, t + ms(2)});
+  }
   rig.server->add_injector(
-      std::make_unique<GcPauseInjector>(ms(10), ms(2)));
+      std::make_unique<ScheduledFreezeInjector>(std::move(freezes)));
   std::vector<Sample> lat;
   rig.client->set_recorder([&](const RequestRecord& r) {
     lat.push_back({r.sent_at, r.latency});
@@ -468,30 +418,8 @@ TEST_P(KvWorkerSweep, MoreWorkersNeverSlower) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, KvWorkerSweep, testing::Values(1, 2, 4));
 
-// Zipf key skew shows up in the store: with strong skew, far fewer distinct
-// keys are ever written than with uniform keys.
-TEST(KvClientKeys, ZipfSkewConcentratesStore) {
-  auto run_with_zipf = [](double s) {
-    KvServerConfig sc;
-    KvClientConfig cc;
-    cc.connections = 2;
-    cc.pipeline = 8;
-    cc.get_ratio = 0.0;  // all SETs
-    cc.keyspace = 100'000;
-    cc.zipf_s = s;
-    cc.requests_per_conn = 0;
-    KvRig rig{sc, cc};
-    rig.client->start();
-    rig.sim->run_until(ms(100));
-    return rig.server->store_size();
-  };
-  const auto uniform_keys = run_with_zipf(0.0);
-  const auto skewed_keys = run_with_zipf(1.2);
-  EXPECT_LT(skewed_keys * 3, uniform_keys);
-}
-
-// The variability injectors compose: step + GC together inflate both the
-// body and the tail.
+// The variability injectors compose: a degraded dependency and periodic
+// freezes together inflate both the body and the tail.
 TEST(KvServer, InjectorsCompose) {
   KvServerConfig sc;
   sc.service_sigma = 0.0;
@@ -500,8 +428,15 @@ TEST(KvServer, InjectorsCompose) {
   cc.pipeline = 1;
   cc.requests_per_conn = 0;
   KvRig rig{sc, cc};
-  rig.server->add_injector(std::make_unique<StepDelayInjector>(ms(10), us(300)));
-  rig.server->add_injector(std::make_unique<GcPauseInjector>(ms(20), ms(2)));
+  SharedDependency dep{0};
+  dep.inject(ms(10), us(300));
+  rig.server->add_injector(std::make_unique<DependencyInjector>(dep, 1.0));
+  std::vector<ScheduledFreezeInjector::Window> freezes;
+  for (SimTime t = 0; t < ms(60); t += ms(20)) {
+    freezes.push_back({t, t + ms(2)});
+  }
+  rig.server->add_injector(
+      std::make_unique<ScheduledFreezeInjector>(std::move(freezes)));
   std::vector<Sample> lat;
   rig.client->set_recorder([&](const RequestRecord& r) {
     lat.push_back({r.sent_at, r.latency});

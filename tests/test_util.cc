@@ -168,47 +168,6 @@ TEST(Splitmix, IsStableAcrossCalls) {
   EXPECT_NE(splitmix64(1), splitmix64(2));
 }
 
-// --- zipf ---
-
-TEST(Zipf, DegenerateSingleElement) {
-  Rng r{1};
-  ZipfDistribution z{1, 1.0};
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(z(r), 1u);
-}
-
-TEST(Zipf, RespectsRange) {
-  Rng r{2};
-  ZipfDistribution z{1000, 0.99};
-  for (int i = 0; i < 50'000; ++i) {
-    const auto v = z(r);
-    EXPECT_GE(v, 1u);
-    EXPECT_LE(v, 1000u);
-  }
-}
-
-TEST(Zipf, SkewFavorsSmallKeys) {
-  Rng r{3};
-  ZipfDistribution z{10'000, 1.1};
-  int head = 0;
-  constexpr int kN = 50'000;
-  for (int i = 0; i < kN; ++i) {
-    if (z(r) <= 10) ++head;
-  }
-  // With s=1.1 the top-10 keys should carry a large share of draws.
-  EXPECT_GT(head, kN / 4);
-}
-
-TEST(Zipf, ZeroExponentIsNearUniform) {
-  Rng r{4};
-  ZipfDistribution z{100, 0.0};
-  std::vector<int> counts(101, 0);
-  constexpr int kN = 200'000;
-  for (int i = 0; i < kN; ++i) ++counts[static_cast<std::size_t>(z(r))];
-  for (std::size_t k = 1; k <= 100; ++k) {
-    EXPECT_NEAR(counts[k], kN / 100, kN / 100 / 2) << "key " << k;
-  }
-}
-
 // --- csv ---
 
 TEST(Csv, WritesHeaderAndRows) {
