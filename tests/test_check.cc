@@ -314,6 +314,53 @@ TEST(StateDigest, UnorderedCombineIsOrderIndependent) {
   EXPECT_EQ(u1.count(), 2u);
 }
 
+// --- request-record digest (shared by the cluster and sharded rigs) ---
+
+RequestRecord sample_record(int i) {
+  RequestRecord r{};
+  r.sent_at = us(10) * i;
+  r.latency = us(100) + i;
+  r.op = KvOp::kGet;
+  r.hit = true;
+  r.conn_index = i;
+  r.flow = {{make_ipv4(10, 0, 0, 1), static_cast<std::uint16_t>(1000 + i)},
+            {make_ipv4(10, 1, 0, 1), 80},
+            IpProto::kTcp};
+  return r;
+}
+
+std::uint64_t records_digest(const std::vector<RequestRecord>& records) {
+  StateDigest d;
+  digest_records(d, records);
+  return d.value();
+}
+
+TEST(RecordDigest, EveryFieldMovesTheDigest) {
+  const std::vector<RequestRecord> base{sample_record(1), sample_record(2)};
+  const std::uint64_t ref = records_digest(base);
+  EXPECT_EQ(records_digest(base), ref);
+  auto with = [&](auto mutate) {
+    auto records = base;
+    mutate(records[1]);
+    return records_digest(records);
+  };
+  EXPECT_NE(with([](RequestRecord& r) { r.sent_at += 1; }), ref);
+  EXPECT_NE(with([](RequestRecord& r) { r.latency += 1; }), ref);
+  EXPECT_NE(with([](RequestRecord& r) { r.op = KvOp::kSet; }), ref);
+  EXPECT_NE(with([](RequestRecord& r) { r.hit = false; }), ref);
+  EXPECT_NE(with([](RequestRecord& r) { r.conn_index += 1; }), ref);
+  EXPECT_NE(with([](RequestRecord& r) { r.flow.src.port += 1; }), ref);
+}
+
+TEST(RecordDigest, OrderAndCountMatter) {
+  const RequestRecord a = sample_record(1);
+  const RequestRecord b = sample_record(2);
+  EXPECT_NE(records_digest({a, b}), records_digest({b, a}));
+  EXPECT_NE(records_digest({a}), records_digest({a, a}));
+  // The count is mixed even for an empty stream.
+  EXPECT_NE(records_digest({}), StateDigest{}.value());
+}
+
 // --- full rig: audits + determinism ---
 
 ClusterRigConfig tiny_rig_config(LbMode mode, std::uint64_t seed) {

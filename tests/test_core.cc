@@ -1199,6 +1199,33 @@ TEST(DependencyInjector, SharedInstanceCouplesServers) {
   EXPECT_EQ(b.extra_service_time(ms(1), us(10)), ms(2));
 }
 
+// seed_stream fixes which requests call the dependency: the same seed gives
+// the same call pattern, another seed another one.
+TEST(DependencyInjector, SeedStreamFixesTheCallPattern) {
+  SharedDependency dep{us(100)};
+  auto pattern = [&dep](std::uint64_t seed) {
+    DependencyInjector inj{dep, 0.5};
+    inj.seed_stream(seed);
+    std::vector<bool> calls;
+    for (int i = 0; i < 256; ++i) {
+      calls.push_back(inj.extra_service_time(0, us(10)) > 0);
+    }
+    return calls;
+  };
+  EXPECT_EQ(pattern(3), pattern(3));
+  EXPECT_NE(pattern(3), pattern(4));
+}
+
+// The base injector is the neutral element a server starts from: no extra
+// service time, never frozen.
+TEST(VariabilityInjector, BaseAddsNothing) {
+  VariabilityInjector inj;
+  for (const SimTime t : {SimTime{0}, us(10), ms(3), sec(2)}) {
+    EXPECT_EQ(inj.extra_service_time(t, us(10)), 0);
+    EXPECT_LE(inj.frozen_until(t), t);
+  }
+}
+
 // --- α-shift refactor differential suite (WeightController extraction) ---
 
 // Drives the refactored AlphaShiftController and the pre-refactor
