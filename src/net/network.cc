@@ -82,20 +82,6 @@ bool Network::send(Ipv4 from, Ipv4 to, PacketRef pkt) {
   return true;
 }
 
-std::uint32_t Network::send_batch(Ipv4 from, Ipv4 to, PacketBatch& batch) {
-  const std::uint32_t n = batch.size();
-  if (n == 0) return 0;
-  ++batches_;
-  batch_packets_ += n;
-  if (n > max_batch_) max_batch_ = n;
-  std::uint32_t accepted = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (send(from, to, batch.take(i))) ++accepted;
-  }
-  batch.clear();
-  return accepted;
-}
-
 void Network::transmit_held(Link& link, Host& dst, PacketRef pkt,
                             SimTime hold) {
   INBAND_ASSERT(hold >= 0);

@@ -92,13 +92,6 @@ void TcpConnection::emit(PacketRef pkt) {
     unacked_segments_ = 0;
     cancel_delack();
   }
-  if (open_batch_ != nullptr) {
-    if (open_batch_->full()) {
-      stack_.output_batch(key_.dst.addr, *open_batch_);  // clears the batch
-    }
-    open_batch_->push(std::move(pkt));
-    return;
-  }
   stack_.output(std::move(pkt));
 }
 
@@ -342,14 +335,6 @@ void TcpConnection::try_send() {
     return;
   }
 
-  // Unpaced senders burst the whole window at one instant, so the segments
-  // accumulate in a stack-local batch and leave through one send_batch()
-  // call — same packets, same delivery schedule, one virtual-dispatch pass
-  // per layer instead of one per segment. Paced senders emit at most one
-  // segment here and stay on the scalar path.
-  PacketBatch burst;
-  if (!config_.pacing) open_batch_ = &burst;
-
   while (true) {
     const std::uint64_t wnd = effective_window();
     const std::uint64_t avail_end =
@@ -376,11 +361,6 @@ void TcpConnection::try_send() {
   }
 
   maybe_send_fin();
-
-  if (open_batch_ != nullptr) {
-    open_batch_ = nullptr;
-    if (!burst.empty()) stack_.output_batch(key_.dst.addr, burst);
-  }
 
   if (snd_nxt_ > snd_una_ && retx_timer_ == kInvalidEventId) arm_retx();
 }
@@ -409,9 +389,11 @@ bool TcpConnection::maybe_send_fin() {
   state_ = state_ == TcpState::kEstablished ? TcpState::kFinWait1
                                             : TcpState::kLastAck;
   // Retransmission arming is the caller's epilogue (try_send): after a FIN
-  // snd_nxt_ > snd_una_ always holds, so the timer is armed there — after
-  // the burst batch flushes, keeping the event-push order of the old
-  // emit-immediately path.
+  // snd_nxt_ > snd_una_ always holds, so the timer is armed there, once the
+  // whole burst and the FIN are on the fabric. An unpaced try_send pushes
+  // no event inside its loop, so handing each segment over at emit() gives
+  // it the same pkt_id, delivery-event order and link/fault RNG draws as
+  // handing the burst over in one piece would.
   return true;
 }
 

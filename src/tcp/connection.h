@@ -178,10 +178,6 @@ class TcpConnection {
   // Timestamp option state.
   SimTime ts_recent_ = kNoTime;
 
-  // Non-null only while try_send() is accumulating an unpaced burst; emit()
-  // then appends instead of outputting one segment at a time.
-  PacketBatch* open_batch_ = nullptr;
-
   // Timers.
   EventId retx_timer_ = kInvalidEventId;
   SimTime rto_;

@@ -110,10 +110,6 @@ void TcpStack::send_rst_for(const Packet& pkt) {
 
 void TcpStack::output(PacketRef pkt) { host_.send(std::move(pkt)); }
 
-void TcpStack::output_batch(Ipv4 to, PacketBatch& batch) {
-  host_.send_batch(to, batch);
-}
-
 void TcpStack::reap(const FlowKey& key) {
   // Deferred: the connection may be deep in its own call stack right now.
   sim().schedule_after(0, [this, key] {

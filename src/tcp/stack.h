@@ -67,7 +67,6 @@ class TcpStack {
   friend class TcpConnection;
 
   INBAND_HOT void output(PacketRef pkt);
-  INBAND_HOT void output_batch(Ipv4 to, PacketBatch& batch);
   // Defers destruction of a closed connection to a fresh event.
   void reap(const FlowKey& key);
   std::uint16_t allocate_port();

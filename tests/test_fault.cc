@@ -22,7 +22,6 @@
 
 #include "app/kv_server.h"
 #include "check/invariant_auditor.h"
-#include "check/state_digest.h"
 #include "core/controller_zoo.h"
 #include "fault/fault_layer.h"
 #include "fault/fault_plan.h"
@@ -308,55 +307,6 @@ TEST(FaultLayerMechanism, FlapWindowBlackholesItsInterval) {
                                    ms(2)),
             10u);
   EXPECT_EQ(wire.audit_violations(), 0u);
-}
-
-// --- batch sends keep the per-packet decision order ---
-
-// A batch send consults the interceptor element by element in index order,
-// so the layer's RNG draws, and with them every fault decision, are the same
-// whether packets leave in batches of 8 or one at a time.
-TEST(FaultLayerMechanism, BatchAndScalarSendsDrawTheSameSchedule) {
-  const FaultPlan plan = make_noise_plan(0.05, 0.1, 0.05, us(50));
-  struct Outcome {
-    std::vector<std::pair<SimTime, std::uint64_t>> arrivals;
-    std::map<std::string, std::uint64_t> counters;
-    std::uint64_t digest;
-  };
-  const auto run = [&plan](bool batched) {
-    FaultedWire wire{plan};
-    for (int round = 0; round < 100; ++round) {
-      wire.sim.schedule_at(round * us(20), [&wire, batched] {
-        PacketBatch batch;
-        for (int j = 0; j < 8; ++j) {
-          if (batched) {
-            batch.push(wire.make_packet());
-          } else {
-            wire.net.send(kSrc, kDst, wire.make_packet());
-          }
-        }
-        wire.net.send_batch(kSrc, kDst, batch);
-      });
-    }
-    wire.sim.run();
-    StateDigest digest;
-    wire.layer.digest_state(digest);
-    Outcome out{wire.dst.arrivals, {}, digest.value()};
-    for (const auto& [name, value] : wire.layer.counters().snapshot()) {
-      out.counters[name] = value;
-    }
-    return out;
-  };
-  const Outcome batched = run(true);
-  const Outcome scalar = run(false);
-
-  EXPECT_EQ(batched.arrivals, scalar.arrivals);
-  EXPECT_EQ(batched.counters, scalar.counters);
-  EXPECT_EQ(batched.digest, scalar.digest);
-  // Every fault kind fired, so the comparison covered every RNG draw site.
-  for (const char* name : {"fault.loss", "fault.duplicates", "fault.reorders",
-                           "fault.jittered"}) {
-    EXPECT_GT(scalar.counters.at(name), 0u) << name;
-  }
 }
 
 // --- invariant auditor catches corrupt bookkeeping ---
