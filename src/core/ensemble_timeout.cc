@@ -26,13 +26,7 @@ EnsembleTimeout::EnsembleTimeout(EnsembleConfig config)
     prev = d;
     fixed_.emplace_back(d);
   }
-  if (config_.initial_choice < 0) {
-    initial_choice_ = static_cast<std::uint32_t>(fixed_.size() / 2);
-  } else {
-    INBAND_ASSERT(static_cast<std::size_t>(config_.initial_choice) <
-                  fixed_.size());
-    initial_choice_ = static_cast<std::uint32_t>(config_.initial_choice);
-  }
+  INBAND_ASSERT(config_.initial_choice < fixed_.size());
 }
 
 void EnsembleTimeout::init_state(EnsembleState& state, SimTime now) const {
@@ -40,7 +34,7 @@ void EnsembleTimeout::init_state(EnsembleState& state, SimTime now) const {
   state.per_timeout.assign(fixed_.size(), FixedTimeoutState{});
   state.samples.assign(fixed_.size(), 0);
   state.epoch_start = now;
-  state.chosen = initial_choice_;
+  state.chosen = config_.initial_choice;
   state.initialized = true;
 }
 

@@ -19,7 +19,7 @@
 //    end ("current packet is the first of a new epoch");
 //  * if an epoch produced no samples at all, the previous δ is kept;
 //  * the initial δ (before the first cliff) is configurable; the default is
-//    the middle of the ladder.
+//    the smallest timeout.
 #pragma once
 
 #include <cstdint>
@@ -39,12 +39,12 @@ struct EnsembleConfig {
   std::vector<SimTime> timeouts = default_timeouts();
   // Epoch length E. Paper default: 64 ms.
   SimTime epoch = ms(64);
-  // Index into `timeouts` used before the first cliff detection; -1 => the
-  // middle of the ladder. Default 0 (the smallest δ): a sensitive start
-  // produces samples from a flow's very first batches — vital for
-  // short-lived, churned connections whose lifetime is shorter than one
-  // epoch — and the cliff corrects the choice upward at the first boundary.
-  int initial_choice = 0;
+  // Index into `timeouts` used before the first cliff detection. Default 0
+  // (the smallest δ): a sensitive start produces samples from a flow's very
+  // first batches — vital for short-lived, churned connections whose
+  // lifetime is shorter than one epoch — and the cliff corrects the choice
+  // upward at the first boundary.
+  std::uint32_t initial_choice = 0;
 
   static std::vector<SimTime> default_timeouts();
 };
@@ -95,7 +95,6 @@ class EnsembleTimeout {
 
   EnsembleConfig config_;
   std::vector<FixedTimeout> fixed_;
-  std::uint32_t initial_choice_ = 0;
 };
 
 }  // namespace inband

@@ -27,20 +27,10 @@ struct FlowStateTableConfig {
   SimTime sweep_interval = sec(1);
 };
 
-// Everything the policy keeps per flow: the estimator state plus the
-// smallest T_LB the flow has ever produced. The floor approximates the
-// flow's uncontrollable propagation component (client→LB distance plus the
-// fixed network path), so `sample - min_sample` isolates the *inflation* the
-// LB can actually act on — the §5(1) far-client normalization.
+// Everything the policy keeps per flow: the estimator state. (The §5(1)
+// far-client floor is per client, not per flow: InbandLbPolicy keeps it.)
 struct FlowState {
   EnsembleState ensemble;
-  SimTime min_sample = kNoTime;
-
-  // Records a sample into the floor and returns the inflation above it.
-  SimTime record_floor(SimTime sample) {
-    if (min_sample == kNoTime || sample < min_sample) min_sample = sample;
-    return sample - min_sample;
-  }
 };
 
 INBAND_SHARD_LOCAL(lb)

@@ -122,8 +122,9 @@ class InbandLbPolicy final : public RoutingPolicy {
   void digest_state(StateDigest& digest) const override;
 
   // --- introspection ---
+  // Read-only: every table mutation goes through the policy, which keeps
+  // live_shares_ in step with it.
   const MaglevTable& table() const { return table_; }
-  MaglevTable& table() { return table_; }
   ServerLatencyTracker& tracker() { return tracker_; }
   const WeightController& controller() const { return *controller_; }
   const EnsembleTimeout& estimator() const { return estimator_; }
