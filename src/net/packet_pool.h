@@ -1,9 +1,10 @@
 // Pooled packet buffers and fixed-capacity packet batches.
 //
-// The data plane's unit of work is a PacketBatch of PacketRef handles drawn
-// from a slab PacketPool — BESS's PacketBatch/snb pool structure, recycled
-// the way the event queue recycles callback slots. A Packet is 168 bytes,
-// its messages included; moving it by value through every virtual
+// Packets live in a slab PacketPool and travel as PacketRef handles; sinks
+// take deliveries as a PacketBatch of them — BESS's PacketBatch/snb pool
+// structure, recycled the way the event queue recycles callback slots.
+// Sends take one PacketRef at a time (Network::send). A Packet is 168
+// bytes, its messages included; moving it by value through every virtual
 // send/deliver hop was the dominant memcpy of the simulated fabric. A
 // PacketRef is two words: producers fill the pooled slot once, every later
 // layer (network, fault interceptor, link, sink) passes the handle.
@@ -155,10 +156,10 @@ inline PacketRef PacketPool::acquire() {
   return PacketRef{state_, pkt};
 }
 
-// Fixed-capacity batch of PacketRefs — the unit handed across the sim/net
-// boundary. Construction writes one word (the size); ref storage is raw and
-// only [0, size) slots are live, so building a singleton batch on the
-// delivery path costs no 32-slot initialization.
+// Fixed-capacity batch of PacketRefs — the unit a PacketSink takes
+// deliveries in. Construction writes one word (the size); ref storage is
+// raw and only [0, size) slots are live, so building a singleton batch on
+// the delivery path costs no 32-slot initialization.
 INBAND_SHARD_LOCAL(owner)
 class PacketBatch {
  public:
@@ -189,7 +190,6 @@ class PacketBatch {
 
   std::uint32_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  bool full() const { return size_ == kCapacity; }
 
   INBAND_HOT void push(PacketRef&& ref) {
     INBAND_DCHECK(size_ < kCapacity);

@@ -154,12 +154,12 @@ TEST(AllocFree, PacketPoolSteadyStateAcquireRelease) {
   // Warm-up: force one slab and cycle a batch through it once.
   {
     PacketBatch batch;
-    while (!batch.full()) batch.push(pool.acquire());
+    while (batch.size() < PacketBatch::kCapacity) batch.push(pool.acquire());
   }
   const auto before = allocs::snapshot();
   for (int n = 0; n < 100000; ++n) {
     PacketBatch batch;
-    while (!batch.full()) {
+    while (batch.size() < PacketBatch::kCapacity) {
       PacketRef ref = pool.acquire();
       ref->payload_len = 100;
       batch.push(std::move(ref));
