@@ -5,9 +5,9 @@
 // all. The far client's samples (RTT + 2 ms round trip) land on whichever
 // server its connections currently map to, so the vanilla controller keeps
 // "discovering" a slow server that does not exist and drains healthy
-// backends. The flow-floor normalization extension scores each sample as
-// inflation above that flow's own observed minimum, cancelling the
-// client-specific distance.
+// backends. The client-floor normalization extension scores each sample as
+// inflation above the smallest sample ever seen from that client address,
+// cancelling the client-specific distance.
 //
 // Output: per configuration — spurious shifts, final slot shares, p95.
 #include <cstdio>
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "\nexpectation: no fault is injected, so every shift is "
                "spurious. The absolute-latency controller chases the far "
-               "client around the pool; flow-floor normalization should "
+               "client around the pool; client-floor normalization should "
                "bring shifts back to ~the equidistant baseline.\n");
   return 0;
 }

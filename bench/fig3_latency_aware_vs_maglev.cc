@@ -117,10 +117,9 @@ int main(int argc, char** argv) {
   const auto dataplane = [](ClusterRig& rig, const char* name) {
     const NetStats net = rig.net().stats();
     std::fprintf(stderr,
-                 "dataplane %s: %llu pkts in %llu batches, pool high-water "
-                 "%llu of %llu slots\n",
+                 "dataplane %s: %llu pkts, pool high-water %llu of %llu "
+                 "slots\n",
                  name, static_cast<unsigned long long>(net.packets_sent),
-                 static_cast<unsigned long long>(net.batches),
                  static_cast<unsigned long long>(net.pool.high_water),
                  static_cast<unsigned long long>(net.pool.slots));
   };
